@@ -352,7 +352,7 @@ func NewInOrder(prog *loader.Program, opt Options) (*Instance, error) {
 		return nil, err
 	}
 	seedSP(m)
-	m.SetStop(stopOnDone)
+	m.SetStop(stopOnDone(m))
 	return &Instance{M: m, Env: env, Kind: KindInOrder, opt: opt}, nil
 }
 
@@ -374,13 +374,19 @@ func NewOOO(prog *loader.Program, opt Options) (*Instance, error) {
 		return nil, err
 	}
 	seedSP(m)
-	m.SetStop(stopOnDone)
+	m.SetStop(stopOnDone(m))
 	return &Instance{M: m, Env: env, Kind: KindOOO, opt: opt}, nil
 }
 
-func stopOnDone(m *rt.Machine) bool {
-	v, _ := m.Global("done")
-	return v != 0
+// stopOnDone builds the timing simulators' stop predicate: stop once the
+// description sets its "done" global. The index is resolved here, once per
+// machine, not by name on every step.
+func stopOnDone(m *rt.Machine) func(*rt.Machine) bool {
+	i, ok := m.GlobalIndex("done")
+	if !ok {
+		return func(*rt.Machine) bool { return false }
+	}
+	return func(m *rt.Machine) bool { return m.GlobalAt(i) != 0 }
 }
 
 // seedSP initializes the simulated stack pointer (r29) in the Facile
@@ -441,6 +447,6 @@ func NewOOOCustom(prog *loader.Program, opt Options, copt core.Options) (*Instan
 		return nil, err
 	}
 	seedSP(m)
-	m.SetStop(stopOnDone)
+	m.SetStop(stopOnDone(m))
 	return &Instance{M: m, Env: env}, nil
 }

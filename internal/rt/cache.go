@@ -15,9 +15,16 @@ import (
 // link to the next cache entry (the paper's INDEX action).
 type node struct {
 	blockID int32
-	data    []int64 // placeholder values, in dynamic-segment order
-	next    *node
-	forks   []nfork
+	// keyVer (end-of-step nodes only) marks nextKey as vetted (validKey
+	// passed) while it equals keyMark of the owning entry; zero means never
+	// vetted. Fault injection and invalidation bump cver, and a warm load
+	// builds fresh nodes, so every path that brings untrusted bytes in
+	// forces a re-vet. It sits in blockID's padding, so the mark costs no
+	// memory.
+	keyVer uint32
+	data   []int64 // placeholder values, in dynamic-segment order
+	next   *node
+	forks  []nfork
 
 	// end-of-step (DTRet) only:
 	nextKey string
@@ -54,12 +61,18 @@ type centry struct {
 	gen   uint64
 	bytes uint64 // bytes charged against the gauge for this entry
 
-	// cver versions the entry's derived compiled-replay state: any
-	// mutation of the recorded chain (fault injection, invalidation)
-	// bumps it, so stale superinstructions are discarded and the mutated
-	// chain is re-validated before its next replay.
+	// cver versions the entry's derived replay state: any mutation of the
+	// recorded chain (fault injection, invalidation) bumps it, so stale
+	// superinstructions and successor-key vetting marks are discarded and
+	// the mutated chain is re-validated before its next replay.
 	cver uint64
 }
+
+// keyMark is the node.keyVer value that marks a successor key as vetted at
+// the entry's current cver. A mark could equal a stale one, or the
+// unvetted zero, only after cver moved 2³²−1 times; cver moves once per
+// fault on the entry, and the first invalidation drops the entry for good.
+func (e *centry) keyMark() uint32 { return uint32(e.cver) + 1 }
 
 // Byte-accounting model for the cache-size cap and the Table 2 metric.
 const (
@@ -172,40 +185,39 @@ func buildKey(argI []int64, argQ []*Queue) string {
 // validKey reports whether key would parse as main's run-time static
 // arguments, without mutating anything. The fast simulator uses it to
 // vet a recorded successor key before adopting it — a corrupt key caught
-// here is recoverable; one caught after adoption is not.
+// here is recoverable; one caught after adoption is not. Replay runs it
+// once per owning entry version (node.keyVer), not once per step.
 func validKey(key string, nArgI int, argQ []*Queue) bool {
-	buf := []byte(key)
 	off := 0
 	for i := 0; i < nArgI; i++ {
-		_, k := binary.Varint(buf[off:])
+		_, k := varintAt(key, off)
 		if k <= 0 {
 			return false
 		}
 		off += k
 	}
 	for _, q := range argQ {
-		sz, k := binary.Uvarint(buf[off:])
-		if k <= 0 || int(sz) > q.Cap() {
+		sz, k := uvarintAt(key, off)
+		if k <= 0 || sz > uint64(q.Cap()) {
 			return false
 		}
 		off += k
 		for j := 0; j < int(sz)*q.Width(); j++ {
-			_, k := binary.Varint(buf[off:])
+			_, k := varintAt(key, off)
 			if k <= 0 {
 				return false
 			}
 			off += k
 		}
 	}
-	return off == len(buf)
+	return off == len(key)
 }
 
 // parseKey restores main's arguments from a cache key.
 func parseKey(key string, argI []int64, argQ []*Queue) bool {
-	buf := []byte(key)
 	off := 0
 	for i := range argI {
-		v, k := binary.Varint(buf[off:])
+		v, k := varintAt(key, off)
 		if k <= 0 {
 			return false
 		}
@@ -213,14 +225,14 @@ func parseKey(key string, argI []int64, argQ []*Queue) bool {
 		off += k
 	}
 	for _, q := range argQ {
-		sz, k := binary.Uvarint(buf[off:])
-		if k <= 0 || int(sz) > q.Cap() {
+		sz, k := uvarintAt(key, off)
+		if k <= 0 || sz > uint64(q.Cap()) {
 			return false
 		}
 		off += k
 		q.data = q.data[:0]
 		for j := 0; j < int(sz)*q.Width(); j++ {
-			v, k := binary.Varint(buf[off:])
+			v, k := varintAt(key, off)
 			if k <= 0 {
 				return false
 			}
@@ -228,5 +240,38 @@ func parseKey(key string, argI []int64, argQ []*Queue) bool {
 			off += k
 		}
 	}
-	return off == len(buf)
+	return off == len(key)
+}
+
+// uvarintAt decodes the unsigned varint at key[off:] in place, with
+// binary.Uvarint's results: the value and the bytes read, 0 bytes for a
+// short buffer, negative for an overflow.
+func uvarintAt(key string, off int) (uint64, int) {
+	var x uint64
+	var s uint
+	for i := 0; off+i < len(key); i++ {
+		if i == binary.MaxVarintLen64 {
+			return 0, -(i + 1)
+		}
+		b := key[off+i]
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				return 0, -(i + 1)
+			}
+			return x | uint64(b)<<s, i + 1
+		}
+		x |= uint64(b&0x7f) << s
+		s += 7
+	}
+	return 0, 0
+}
+
+// varintAt is uvarintAt for the zig-zag signed encoding of binary.Varint.
+func varintAt(key string, off int) (int64, int) {
+	ux, k := uvarintAt(key, off)
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x, k
 }

@@ -8,10 +8,12 @@ import (
 
 // This file is the compiled replay substrate: instead of interpreting each
 // block's dynamic segment one ir.DynInst at a time (execDyn's per-op and
-// per-operand switches), Machine construction precompiles every dynamic
-// segment into a chain of specialized closures with all operand dispatch —
-// dynamic vreg, recorded placeholder, constant — resolved at compile time,
-// and replay fuses straight-line runs of DTNone nodes into superinstructions
+// per-operand switches), Machine construction precompiles dynamic segments
+// into chains of specialized closures with all operand dispatch — dynamic
+// vreg, recorded placeholder, constant — resolved at compile time. Every
+// block whose layout is proven compiles: pure-flow, fork and step-end
+// alike. Replay runs a proven block's chain on the per-node path, and fuses
+// straight-line runs of pure-flow (DTNone) nodes into superinstructions
 // executed as one pre-validated call sequence.
 //
 // Correctness contract:
@@ -23,19 +25,24 @@ import (
 //     operand layout cannot be proven to match — a placeholder in a field
 //     the op never reads — is left uncompiled and replays interpreted.
 //
-//   - All fault degradation survives fusion: a fused run contains only
-//     nodes pre-validated exactly as the interpreter would (block range,
-//     placeholder count, registered externs), and it ends before the first
-//     node that fails validation, so the interpreted loop re-detects the
-//     corruption with the identical fault kind at the identical node count.
-//     Misses can only happen at dynamic-result nodes, which are never
-//     inside a run.
+//   - All fault degradation survives compilation: a block's chain runs, on
+//     the per-node path or inside a fused run, only after the node passed
+//     the interpreter's checks (block range, placeholder count, registered
+//     externs). A fused run ends before the first node that fails them, so
+//     the per-node loop re-detects the corruption with the identical fault
+//     kind at the identical node count. Misses can only happen at
+//     dynamic-result nodes, which are never inside a run; their dynamic
+//     result is tested after the chain, exactly as after execDyn.
 //
 //   - Fused state is derived, not memoized: it is never serialized
 //     (snapshot/warmio enumerate fields explicitly), is rebuilt lazily
 //     after warm-cache adoption, and is discarded when the owning entry's
 //     cver moves (fault injection, invalidation) so a mutated chain is
 //     always re-validated before its next replay.
+//
+//   - Closures that pass an argument list (CallExt, QPush) fill the
+//     machine's scratch slice instead of allocating: Queue.Push copies its
+//     input and externs must not retain theirs (see Extern).
 
 // dynFn executes one dynamic instruction with operand kinds resolved at
 // compile time; data is the node's recorded placeholder values.
@@ -77,40 +84,28 @@ type fusedStep struct {
 
 // compileProgram compiles dynamic segments into closure chains. With a
 // proven replay plan attached (p.Replay, computed by the compiler's static
-// fusion analysis), the builder trusts the static table: only plan-fusable
-// blocks are compiled — with the per-operand layout scans skipped, since
-// the plan already proved every placeholder sits in a read field — and
-// fork-, ret-terminated, and layout-unprovable blocks are left to the
-// interpreter (fused runs can never contain them, so compiling them was
-// pure build-time waste). Without a plan (hand-constructed IR, older
-// snapshots) every block runs the legacy per-block proof.
-func compileProgram(p *ir.Program) ([]blockCode, int) {
+// fusion analysis), the builder trusts the static table: every block whose
+// verdict is LayoutOK — pure-flow, fork and step-end — is compiled with the
+// per-operand layout scans skipped, since the plan already proved every
+// placeholder sits in a read field; layout-unprovable blocks are left to
+// the interpreter. Without a plan (hand-constructed IR, older snapshots)
+// every block runs the legacy per-block proof.
+func compileProgram(p *ir.Program) []blockCode {
 	code := make([]blockCode, len(p.Blocks))
-	compiled := 0
-	if pl := p.Replay; pl != nil && len(pl.Blocks) == len(p.Blocks) {
-		for bi, blk := range p.Blocks {
-			if !blk.HasDyn {
-				// Empty ok chain so fused runs can span the block.
-				code[bi] = blockCode{ok: true}
-				continue
-			}
-			if !pl.Fusable(bi) {
-				continue // replays interpreted
-			}
-			code[bi] = compileBlock(blk, true)
-			if code[bi].ok && len(blk.Dyn) > 0 {
-				compiled++
-			}
-		}
-		return code, compiled
-	}
+	pl := p.Replay
+	trusted := pl != nil && len(pl.Blocks) == len(p.Blocks)
 	for bi, blk := range p.Blocks {
-		code[bi] = compileBlock(blk, false)
-		if code[bi].ok && len(blk.Dyn) > 0 {
-			compiled++
+		switch {
+		case !trusted:
+			code[bi] = compileBlock(blk, false)
+		case !blk.HasDyn:
+			// Empty ok chain so fused runs can span the block.
+			code[bi] = blockCode{ok: true}
+		case pl.Blocks[bi].LayoutOK:
+			code[bi] = compileBlock(blk, true)
 		}
 	}
-	return code, compiled
+	return code
 }
 
 // compileBlock compiles one block's dynamic segment. In trusted mode the
@@ -324,7 +319,7 @@ func compileDyn(di *ir.DynInst, ph *int, trusted bool) (dynFn, bool) {
 		}
 		return func(m *Machine, data []int64) {
 			fn := m.externs[xi]
-			args := make([]int64, len(rargs))
+			args := m.scratch[:len(rargs)]
 			for i, ra := range rargs {
 				args[i] = ra(m, data)
 			}
@@ -368,7 +363,7 @@ func compileQOp(di *ir.DynInst, ph *int, trusted bool) (dynFn, bool) {
 		}
 		return func(m *Machine, data []int64) {
 			q := m.queue(qid)
-			vals := make([]int64, len(rargs))
+			vals := m.scratch[:len(rargs)]
 			for i, ra := range rargs {
 				vals[i] = ra(m, data)
 			}

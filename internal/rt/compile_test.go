@@ -45,24 +45,88 @@ func TestMissRecoverEmptyPathDegrades(t *testing.T) {
 	}
 }
 
-// TestFusedStateDiscardedOnCverBump pins the derived-state contract: a
-// superinstruction built for a node is valid only while the owning entry's
-// cver is unchanged, and both fault injection and invalidation move it.
-func TestFusedStateDiscardedOnCverBump(t *testing.T) {
-	m := New(minProgram(), nil, Options{Memoize: true})
-	e := &centry{key: "", first: &node{blockID: 0}}
-	m.ac.put(e)
-	n := e.first
-	n.fused = m.buildFused(n)
-	n.fusedVer = e.cver
-	m.ac.invalidate(e)
-	if n.fusedVer == e.cver {
-		t.Fatal("invalidate did not bump cver; stale fused state would survive")
+// forkRetProgram is one step of a main with no arguments (so its key is
+// ""): a fork block that stores 7 to global 0 and tests v0, two pure-flow
+// blocks, and a step-end block that stores 9 to global 1. Its replay plan
+// proves every layout, so all four blocks compile.
+func forkRetProgram() *ir.Program {
+	c := func(v int64) ir.Src { return ir.Src{Kind: ir.SrcConst, Const: v} }
+	return &ir.Program{
+		NumVReg: 3,
+		Globals: []ir.GlobalDecl{{Name: "g0"}, {Name: "g1"}},
+		Blocks: []*ir.Block{
+			{ID: 0, HasDyn: true, Dyn: []ir.DynInst{{Op: ir.StoreG, Imm: 0, A: c(7)}},
+				DynTerm: ir.DTBr, TermSrc: ir.Src{Kind: ir.SrcVReg}, Term: ir.Inst{Op: ir.Br}},
+			{ID: 1, HasDyn: true, Dyn: []ir.DynInst{{Op: ir.Mov, D: 1, A: c(1)}}},
+			{ID: 2, HasDyn: true, Dyn: []ir.DynInst{{Op: ir.Mov, D: 2, A: c(2)}}},
+			{ID: 3, HasDyn: true, Dyn: []ir.DynInst{{Op: ir.StoreG, Imm: 1, A: c(9)}},
+				DynTerm: ir.DTRet, Term: ir.Inst{Op: ir.Ret}},
+		},
+		Replay: &ir.ReplayPlan{
+			Blocks: []ir.BlockReplay{
+				{Class: ir.ReplayFork, LayoutOK: true, DynOps: 1},
+				{Class: ir.ReplayPure, LayoutOK: true, MaxRun: 2, DynOps: 1},
+				{Class: ir.ReplayPure, LayoutOK: true, MaxRun: 1, DynOps: 1},
+				{Class: ir.ReplayRet, LayoutOK: true, DynOps: 1},
+			},
+			DynBlocks: 4, FusableBlocks: 2, DynOps: 4, FusableOps: 2,
+		},
 	}
-	n.fusedVer = e.cver
-	m.injectFault(e, faults.InjFlipFork)
-	if n.fusedVer == e.cver {
-		t.Fatal("injectFault did not bump cver; stale fused state would survive")
+}
+
+// TestFusedStateDiscardedOnCverBump pins the derived-state contract on a
+// chain whose fork block is compiled: one replay runs the fork block's
+// closure chain, builds the (empty) run headed at the fork and the fused
+// pure tail, and marks the step-end key vetted. All of that is valid only
+// while the owning entry's cver is unchanged, and both invalidation and
+// fault injection move it.
+func TestFusedStateDiscardedOnCverBump(t *testing.T) {
+	m := New(forkRetProgram(), nil, Options{Memoize: true, Inject: faults.NewInjector(1, 0)})
+	if !m.code[0].ok || !m.code[3].ok {
+		t.Fatal("fork and step-end blocks with proven layouts must compile")
+	}
+	forkRuns := 0
+	m.code[0].fns = append(m.code[0].fns, func(*Machine, []int64) { forkRuns++ })
+	n3 := &node{blockID: 3, nextKey: ""}
+	n2 := &node{blockID: 2, next: n3}
+	n1 := &node{blockID: 1, next: n2}
+	n0 := &node{blockID: 0, forks: []nfork{{val: 0, next: n1}}}
+	e := &centry{key: "", first: n0}
+	m.ac.put(e)
+	if err := m.replayFrom(e, 1); err != nil {
+		t.Fatal(err)
+	}
+	if st := m.Stats(); st.Replays != 1 || st.Faults != 0 {
+		t.Fatalf("want one clean replay: %+v", st)
+	}
+	if forkRuns != 1 || m.globals[0] != 7 || m.globals[1] != 9 {
+		t.Fatalf("fork chain ran %d times, globals %v; want 1, [7 9]", forkRuns, m.globals)
+	}
+	current := func() (fork, tail, key bool) {
+		return n0.fused != nil && n0.fusedVer == e.cver,
+			n1.fused != nil && n1.fusedVer == e.cver,
+			n3.keyVer == e.keyMark()
+	}
+	if fork, tail, key := current(); !fork || !tail || !key {
+		t.Fatalf("after replay: fork run %v, pure run %v, key vetted %v; want all current", fork, tail, key)
+	}
+	if len(n0.fused.steps) != 0 || len(n1.fused.steps) != 2 {
+		t.Fatalf("fork head fused %d steps, pure tail %d; want 0 and 2",
+			len(n0.fused.steps), len(n1.fused.steps))
+	}
+	for _, bump := range []struct {
+		name string
+		do   func()
+	}{
+		{"invalidate", func() { m.ac.invalidate(e) }},
+		{"injectFault", func() { m.injectFault(e, faults.InjFlipFork) }},
+	} {
+		n0.fusedVer, n1.fusedVer, n3.keyVer = e.cver, e.cver, e.keyMark()
+		bump.do()
+		if fork, tail, key := current(); fork || tail || key {
+			t.Errorf("%s left derived state current: fork run %v, pure run %v, key vetted %v",
+				bump.name, fork, tail, key)
+		}
 	}
 }
 
@@ -94,7 +158,7 @@ func forkHeadProgram() *ir.Program {
 // chain: the run starting at the fork must stay empty, while the same
 // pure tail entered one node later fuses normally. Checked on both the
 // plan-less legacy path and with a static replay plan attached (where
-// the fork block is not even compiled).
+// the fork block's layout is unproven, so it is not even compiled).
 func TestForkAtRunHeadSeversFusion(t *testing.T) {
 	plan := &ir.ReplayPlan{
 		Blocks: []ir.BlockReplay{

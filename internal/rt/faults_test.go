@@ -57,34 +57,41 @@ fun main(q: queue(4, 2), step) {
 `},
 }
 
-// runFaultWorkload runs one workload for 400 steps and returns the machine
-// plus the emitted sequence. The next() extern cycles deterministically so
-// plain and faulty runs see identical dynamic inputs.
-func runFaultWorkload(t *testing.T, src string, opt rt.Options) (*rt.Machine, []int64) {
+// newFaultWorkload builds a machine for one workload; out collects the
+// emitted sequence. The next() extern cycles deterministically so plain and
+// faulty runs see identical dynamic inputs.
+func newFaultWorkload(t *testing.T, src string, opt rt.Options) (m *rt.Machine, out *[]int64) {
 	t.Helper()
 	sim, err := core.CompileSource(src, core.Options{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	m := sim.NewMachine(core.NullText(), opt)
-	var out []int64
+	m = sim.NewMachine(core.NullText(), opt)
+	out = new([]int64)
 	i := int64(0)
 	m.RegisterExtern("next", func([]int64) int64 {
 		i++
 		return i * i % 7
 	})
 	m.RegisterExtern("emit", func(a []int64) int64 {
-		out = append(out, a[0])
+		*out = append(*out, a[0])
 		return 0
 	})
-	args := make([]int64, 1)
-	if err := m.SetIntArgs(args...); err != nil {
+	if err := m.SetIntArgs(0); err != nil {
 		t.Fatal(err)
 	}
+	return m, out
+}
+
+// runFaultWorkload runs one workload for 400 steps and returns the machine
+// plus the emitted sequence.
+func runFaultWorkload(t *testing.T, src string, opt rt.Options) (*rt.Machine, []int64) {
+	t.Helper()
+	m, out := newFaultWorkload(t, src, opt)
 	if err := m.Run(400); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	return m, out
+	return m, *out
 }
 
 func sameResults(t *testing.T, plain, faulty *rt.Machine, outP, outF []int64) {

@@ -13,7 +13,9 @@ import (
 // Extern is a host (Go) function callable from Facile. External calls are
 // dynamic: the compiler never memoizes through them, so externs may hold
 // arbitrary mutable state (cache simulators, branch predictors, target
-// memory, output devices).
+// memory, output devices). args is valid only for the duration of the
+// call: the machine reuses one argument buffer for every call, so an
+// extern must copy any values it keeps.
 type Extern func(args []int64) int64
 
 // TextSource provides the target program's text segment: the token stream
@@ -103,6 +105,7 @@ type Machine struct {
 	argBuf  []int64  // next-step integer arguments (set_args targets)
 	vregs   []int64
 	externs []Extern
+	scratch []int64 // CallExt/QPush argument buffer, sized to the widest list
 
 	ac      *acache
 	started bool
@@ -158,25 +161,34 @@ func New(p *ir.Program, text TextSource, opt Options) *Machine {
 		obs:     opt.Obs,
 	}
 	m.compiled = !opt.ReplayInterp
-	var nCompiled int
-	m.code, nCompiled = compileProgram(p)
+	m.code = compileProgram(p)
+	// rt.compiled_blocks counts every block with a compiled closure chain —
+	// pure-flow, fork and step-end alike. The rt.fusion_compiled_* pair
+	// counts only the plan-fusable ones, the blocks a superinstruction may
+	// contain, so it compares like for like with rt.fusion_predicted_*.
+	var nCompiled, fusBlocks, fusOps uint64
+	pl := p.Replay
+	for bi, blk := range p.Blocks {
+		if !m.code[bi].ok || len(blk.Dyn) == 0 {
+			continue
+		}
+		nCompiled++
+		if pl.Fusable(bi) {
+			fusBlocks++
+			fusOps += uint64(len(blk.Dyn))
+		}
+	}
 	reg := opt.Obs.Registry()
-	reg.Counter("rt.compiled_blocks").Add(uint64(nCompiled))
-	if pl := p.Replay; pl != nil {
+	reg.Counter("rt.compiled_blocks").Add(nCompiled)
+	if pl != nil {
 		// Predicted-vs-achieved fusion coverage: what the static plan
 		// proved fusable against what the closure builder actually
 		// compiled. The pairs agree unless the trusted compile's
 		// placeholder-count guard tripped (a plan/engine disagreement).
-		var opsCompiled uint64
-		for bi, blk := range p.Blocks {
-			if blk.HasDyn && m.code[bi].ok {
-				opsCompiled += uint64(len(blk.Dyn))
-			}
-		}
 		reg.Counter("rt.fusion_predicted_blocks").Add(uint64(pl.FusableBlocks))
-		reg.Counter("rt.fusion_compiled_blocks").Add(uint64(nCompiled))
+		reg.Counter("rt.fusion_compiled_blocks").Add(fusBlocks)
 		reg.Counter("rt.fusion_predicted_ops").Add(uint64(pl.FusableOps))
-		reg.Counter("rt.fusion_compiled_ops").Add(opsCompiled)
+		reg.Counter("rt.fusion_compiled_ops").Add(fusOps)
 	}
 	m.hStepNodes = reg.Histogram("rt.replay_nodes_per_step")
 	m.cFusedRuns = reg.Counter("rt.fused_runs")
@@ -214,15 +226,23 @@ func New(p *ir.Program, text TextSource, opt Options) *Machine {
 	m.argI = make([]int64, nInt)
 	m.argBuf = make([]int64, nInt)
 	// Precompute, per block, the externs its dynamic segment calls, so the
-	// replayer can vet a recorded block reference before executing it.
+	// replayer can vet a recorded block reference before executing it; and
+	// size the argument buffer to the widest CallExt/QPush list, slow or
+	// fast, so no call allocates.
 	m.blkExt = make([][]int32, len(p.Blocks))
-	for bi := range p.Blocks {
-		for _, di := range p.Blocks[bi].Dyn {
+	width := 0
+	for bi, blk := range p.Blocks {
+		for _, di := range blk.Dyn {
 			if di.Op == ir.CallExt {
 				m.blkExt[bi] = append(m.blkExt[bi], int32(di.Imm))
 			}
+			width = max(width, len(di.Args))
+		}
+		for i := range blk.Insts {
+			width = max(width, len(blk.Insts[i].Args))
 		}
 	}
+	m.scratch = make([]int64, width)
 	m.scState = opt.SelfCheckSeed
 	if m.scState == 0 {
 		m.scState = 0xD1B54A32D192ED03
@@ -260,23 +280,36 @@ func (m *Machine) ArgQueue(i int) *Queue { return m.argQ[i] }
 // Global returns the current value of a global by name (for drivers and
 // tests; Facile programs expose results through globals and externs).
 func (m *Machine) Global(name string) (int64, bool) {
+	if i, ok := m.GlobalIndex(name); ok {
+		return m.globals[i], true
+	}
+	return 0, false
+}
+
+// GlobalIndex resolves a global's name to the index GlobalAt reads, so a
+// per-step reader (a stop predicate) can skip the by-name scan. The index
+// is a property of the compiled program, valid on every machine built
+// from it.
+func (m *Machine) GlobalIndex(name string) (int, bool) {
 	for i, g := range m.p.Globals {
 		if g.Name == name {
-			return m.globals[i], true
+			return i, true
 		}
 	}
 	return 0, false
 }
 
+// GlobalAt returns the current value of the global at index i (see
+// GlobalIndex).
+func (m *Machine) GlobalAt(i int) int64 { return m.globals[i] }
+
 // SetGlobal writes a global by name.
 func (m *Machine) SetGlobal(name string, v int64) bool {
-	for i, g := range m.p.Globals {
-		if g.Name == name {
-			m.globals[i] = v
-			return true
-		}
+	i, ok := m.GlobalIndex(name)
+	if ok {
+		m.globals[i] = v
 	}
-	return false
+	return ok
 }
 
 // Array returns a global array by name.
@@ -712,7 +745,7 @@ func (m *Machine) exec(inst *ir.Inst) {
 		if fn == nil {
 			panic(fmt.Sprintf("rt: extern %q not registered", m.p.Externs[inst.Imm]))
 		}
-		args := make([]int64, len(inst.Args))
+		args := m.scratch[:len(inst.Args)]
 		for i, a := range inst.Args {
 			args[i] = v[a]
 		}
@@ -732,7 +765,7 @@ func (m *Machine) execQOp(inst *ir.Inst) {
 	case ir.QSize:
 		res = int64(q.Size())
 	case ir.QPush:
-		vals := make([]int64, len(inst.Args))
+		vals := m.scratch[:len(inst.Args)]
 		for i, a := range inst.Args {
 			vals[i] = v[a]
 		}

@@ -10,6 +10,29 @@ import (
 	"facile/internal/obs"
 )
 
+// This file is the fast/residual simulator and its recovery paths.
+//
+// Recorded state is checked where it could have gone bad, not every time
+// it is used:
+//
+//   - Per node, every replay checks what a corrupt chain could break before
+//     running the block: the link is non-nil, the node count is under the
+//     watchdog, the block ID is in range, the placeholder count matches the
+//     block, and every extern the block calls is registered. A block that
+//     passes runs its compiled closure chain (compile.go) when it has one,
+//     fork and step-end blocks included; execDyn interprets only blocks
+//     whose layout is unproven and every block under -replay interp.
+//   - A step-end node's successor key is vetted by validKey once per
+//     owning entry version (node.keyVer against centry.keyMark). Untrusted
+//     bytes enter only through warm load (LoadWarmCache builds fresh,
+//     unvetted nodes), snapshot restore (LoadState vets the step key; the
+//     action cache is not restored) and fault injection (which bumps cver);
+//     invalidation bumps cver too. Each of those forces a re-vet. In-memory
+//     adoption (AdoptCache) hands over nodes this process recorded, marks
+//     included.
+//   - CallExt and QPush pass their arguments in the machine's scratch slice
+//     (Machine.scratch), so a warm replay allocates nothing.
+
 // replayFrom is the fast/residual simulator: it walks recorded action
 // nodes, executing only each block's dynamic segment (with run-time static
 // placeholder values supplied from the cache) and verifying every dynamic
@@ -96,9 +119,17 @@ func (m *Machine) replayFrom(e *centry, maxSteps uint64) error {
 				return m.degradeStep(e)
 			}
 		}
-		ph := 0
-		for i := range blk.Dyn {
-			m.execDyn(&blk.Dyn[i], n.data, &ph)
+		if bc := &m.code[n.blockID]; m.compiled && bc.ok {
+			// The checks above are exactly the ones buildFused applies, so
+			// a compiled block reads n.data without re-validating it.
+			for _, fn := range bc.fns {
+				fn(m, n.data)
+			}
+		} else {
+			ph := 0
+			for i := range blk.Dyn {
+				m.execDyn(&blk.Dyn[i], n.data, &ph)
+			}
 		}
 		m.stats.FastOps += uint64(len(blk.Dyn))
 		switch blk.DynTerm {
@@ -129,10 +160,14 @@ func (m *Machine) replayFrom(e *centry, maxSteps uint64) error {
 		case ir.DTRet:
 			// Vet the recorded successor key before adopting it: a corrupt
 			// key caught here is recoverable (rekeyStep rebuilds it from the
-			// replayed path); one caught after adoption is not.
-			if !validKey(n.nextKey, len(m.argI), m.argQ) {
-				m.fault(faults.CorruptKey, "recorded successor key does not parse")
-				return m.rekeyStep(e)
+			// replayed path); one caught after adoption is not. A key already
+			// vetted at the entry's current cver is not parsed again.
+			if n.keyVer != e.keyMark() {
+				if !validKey(n.nextKey, len(m.argI), m.argQ) {
+					m.fault(faults.CorruptKey, "recorded successor key does not parse")
+					return m.rekeyStep(e)
+				}
+				n.keyVer = e.keyMark()
 			}
 			m.stats.Replays++
 			m.obs.Event(obs.EvStepReplayed, m.nodes)
@@ -344,7 +379,7 @@ func (m *Machine) execDyn(di *ir.DynInst, data []int64, ph *int) {
 		case ir.QSize:
 			res = int64(q.Size())
 		case ir.QPush:
-			vals := make([]int64, len(di.Args))
+			vals := m.scratch[:len(di.Args)]
 			for i, a := range di.Args {
 				vals[i] = rd(a)
 			}
@@ -372,7 +407,7 @@ func (m *Machine) execDyn(di *ir.DynInst, data []int64, ph *int) {
 		}
 	case ir.CallExt:
 		fn := m.externs[di.Imm]
-		args := make([]int64, len(di.Args))
+		args := m.scratch[:len(di.Args)]
 		for i, a := range di.Args {
 			args[i] = rd(a)
 		}

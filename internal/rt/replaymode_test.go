@@ -13,7 +13,9 @@ import (
 // miss / degradation counters, under clean runs, self-checking, a starved
 // replay watchdog (fused runs must trip at the identical node count), and
 // every injected corruption (faults mid-superinstruction must detect and
-// recover exactly as interpreted replay does).
+// recover exactly as interpreted replay does). Fork blocks run their
+// compiled chains on the per-node path, so the compiled run must execute
+// some and the interpreted run none.
 func TestCompiledReplayMatchesInterp(t *testing.T) {
 	variants := []struct {
 		name string
@@ -32,9 +34,23 @@ func TestCompiledReplayMatchesInterp(t *testing.T) {
 			t.Run(w.name+"/"+v.name, func(t *testing.T) {
 				oi := v.opt()
 				oi.ReplayInterp = true
-				mi, outI := runFaultWorkload(t, w.src, oi)
-				mc, outC := runFaultWorkload(t, w.src, v.opt())
+				run := func(opt rt.Options) (*rt.Machine, []int64, uint64) {
+					m, out := newFaultWorkload(t, w.src, opt)
+					forks := rt.CountCompiledForks(m)
+					if err := m.Run(400); err != nil {
+						t.Fatalf("run: %v", err)
+					}
+					return m, *out, *forks
+				}
+				mi, outI, forksI := run(oi)
+				mc, outC, forksC := run(v.opt())
 				sameResults(t, mi, mc, outI, outC)
+				if forksI != 0 {
+					t.Errorf("interpreted replay ran %d compiled fork blocks", forksI)
+				}
+				if forksC == 0 {
+					t.Error("compiled replay never ran a compiled fork block")
+				}
 				si, sc := mi.Stats(), mc.Stats()
 				if !reflect.DeepEqual(si, sc) {
 					t.Errorf("stats diverge:\n  interp   %+v\n  compiled %+v", si, sc)
