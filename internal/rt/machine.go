@@ -6,7 +6,6 @@ import (
 	"facile/internal/faults"
 	"facile/internal/lang/ir"
 	"facile/internal/lang/token"
-	"facile/internal/lang/types"
 	"facile/internal/obs"
 )
 
@@ -109,7 +108,7 @@ type Machine struct {
 
 	ac      *acache
 	started bool
-	curKey  string // key of the next step to run
+	curKey  string // key of the next step to run, kept only when memoizing (see nextKey)
 	stepKey string // key of the entry currently being replayed
 	path    []int64
 	nodes   uint64 // action nodes completed by the current replayed step
@@ -125,6 +124,9 @@ type Machine struct {
 	// segment.
 	compiled bool
 	code     []blockCode
+
+	// slow is the slow simulator's decoded program (see slow.go).
+	slow slowProgram
 
 	obs     *obs.Recorder
 	sampler *obs.Sampler
@@ -155,13 +157,14 @@ func New(p *ir.Program, text TextSource, opt Options) *Machine {
 		globals: make([]int64, len(p.Globals)),
 		arrays:  make([][]int64, len(p.Arrays)),
 		queuesG: make([]*Queue, len(p.QueuesG)),
-		vregs:   make([]int64, p.NumVReg),
+		vregs:   make([]int64, p.NumVReg+1), // +1: see decodeProgram
 		externs: make([]Extern, len(p.Externs)),
 		ac:      newACache(opt.CacheCapBytes, opt.Obs),
 		obs:     opt.Obs,
 	}
 	m.compiled = !opt.ReplayInterp
 	m.code = compileProgram(p)
+	m.slow = decodeProgram(p)
 	// rt.compiled_blocks counts every block with a compiled closure chain —
 	// pure-flow, fork and step-end alike. The rt.fusion_compiled_* pair
 	// counts only the plan-fusable ones, the blocks a superinstruction may
@@ -374,7 +377,9 @@ func (m *Machine) Done() bool { return m.done }
 // complete (0 = unlimited).
 func (m *Machine) Run(maxSteps uint64) error {
 	if !m.started {
-		m.curKey = buildKey(m.argI, m.argQ)
+		if m.opt.Memoize {
+			m.curKey = buildKey(m.argI, m.argQ)
+		}
 		m.started = true
 	}
 	m.obs.Begin("rt.run")
@@ -386,6 +391,8 @@ func (m *Machine) Run(maxSteps uint64) error {
 		if maxSteps > 0 && steps() >= maxSteps {
 			return nil
 		}
+		var sink stepSink
+		var ent *centry
 		if m.opt.Memoize {
 			e := m.ac.get(m.curKey)
 			if e != nil {
@@ -406,17 +413,16 @@ func (m *Machine) Run(maxSteps uint64) error {
 			}
 			m.stats.KeyMisses++
 			m.obs.Event(obs.EvKeyMiss, uint64(len(m.curKey)))
-		}
-		if !parseKey(m.curKey, m.argI, m.argQ) {
-			// Should be unreachable: successor keys are vetted before
-			// adoption. Rebuild a parseable key from the current arguments
-			// so the run continues instead of crashing.
-			m.fault(faults.CorruptKey, "unparseable step key at slow-path entry")
-			m.curKey = buildKey(m.argI, m.argQ)
-		}
-		var sink stepSink
-		var ent *centry
-		if m.opt.Memoize {
+			// Replay advances only the step key; restore main's arguments
+			// from it. (Without memoization every step runs slow and leaves
+			// them current.)
+			if !parseKey(m.curKey, m.argI, m.argQ) {
+				// Should be unreachable: successor keys are vetted before
+				// adoption. Rebuild a parseable key from the current
+				// arguments so the run continues instead of crashing.
+				m.fault(faults.CorruptKey, "unparseable step key at slow-path entry")
+				m.curKey = buildKey(m.argI, m.argQ)
+			}
 			ent = &centry{key: m.curKey}
 			sink = &recorder{m: m, ent: ent, tail: &ent.first}
 		}
@@ -533,146 +539,6 @@ func (c *rcursor) blockDone() {
 	}
 }
 
-// runStepSlow executes one step of the slow/complete simulator. When cur is
-// non-nil the step starts in recovery mode: run-time static code executes
-// normally, dynamic instructions are skipped (the failed replay already
-// performed them), and dynamic-result tests consume replayed values from
-// the cursor until it goes live. sink, when non-nil, observes the step's
-// dynamic structure from the moment the cursor is live (miss recovery
-// pre-attaches the recorder to the miss node's new fork).
-func (m *Machine) runStepSlow(sink stepSink, cur *rcursor) error {
-	m.stats.SlowSteps++
-	// Seed main's integer-parameter vregs (they occupy the first vregs in
-	// declaration order).
-	for i := range m.argI {
-		m.vregs[i] = m.argI[i]
-	}
-	copy(m.argBuf, m.argI) // set_args defaults to re-running with same args
-	live := func() bool { return cur == nil || cur.live }
-	budget := m.opt.StepInstBudget
-	bi := m.p.Entry
-	for {
-		blk := m.p.Blocks[bi]
-		if sink != nil && live() && blk.HasDyn {
-			sink.enterBlock(bi, blk)
-		}
-		dynIdx := 0
-		if budget < uint64(len(blk.Insts)) {
-			m.fault(faults.WatchdogStep, "step exceeded the instruction budget")
-			m.stats.WatchdogTrips++
-			return fmt.Errorf("rt: step exceeded the instruction budget (non-terminating step?)")
-		}
-		budget -= uint64(len(blk.Insts))
-		m.stats.SlowInsts += uint64(len(blk.Insts))
-		vr := m.vregs
-		for i := range blk.Insts {
-			inst := &blk.Insts[i]
-			if inst.BT == ir.BTStatic {
-				// Inline fast paths for the hottest rt-static ops; the
-				// generic interpreter handles the rest.
-				switch inst.Op {
-				case ir.Const:
-					vr[inst.D] = inst.Imm
-				case ir.Bin:
-					vr[inst.D] = types.EvalBinary(token.Kind(inst.Sub), vr[inst.A], vr[inst.B])
-				case ir.Mov:
-					vr[inst.D] = vr[inst.A]
-				default:
-					m.exec(inst)
-				}
-				continue
-			}
-			if inst.BT == ir.BTStaticWT {
-				// Run-time static computation whose value dynamic code can
-				// observe: execute it, then memoize the result so the fast
-				// simulator re-applies it during replay (the placeholder is
-				// the just-computed value).
-				m.exec(inst)
-				if sink != nil && live() {
-					sink.ph(&blk.Dyn[dynIdx], m.vregs)
-				}
-				dynIdx++
-				continue
-			}
-			if inst.Op == ir.SetArg {
-				if !live() {
-					m.argBuf[inst.Imm] = cur.take(m.vregs[inst.A])
-				} else {
-					v := m.vregs[inst.A]
-					m.argBuf[inst.Imm] = v
-					if sink != nil {
-						sink.fork(v)
-					}
-				}
-				continue
-			}
-			if inst.Op == ir.Pin {
-				// dynamic result test: the pinned value becomes rt-static
-				if !live() {
-					m.vregs[inst.D] = cur.take(m.vregs[inst.A])
-				} else {
-					v := m.vregs[inst.A]
-					m.vregs[inst.D] = v
-					if sink != nil {
-						sink.fork(v)
-					}
-				}
-				continue
-			}
-			if !live() {
-				dynIdx++
-				continue
-			}
-			if sink != nil {
-				sink.ph(&blk.Dyn[dynIdx], m.vregs)
-			}
-			dynIdx++
-			m.exec(inst)
-		}
-		switch blk.Term.Op {
-		case ir.Jmp:
-			bi = blk.Succ[0]
-		case ir.Br:
-			var taken bool
-			if blk.Term.BT == ir.BTDynamic {
-				if !live() {
-					taken = cur.take(b2i(m.vregs[blk.Term.A])) != 0
-				} else {
-					v := b2i(m.vregs[blk.Term.A])
-					taken = v != 0
-					if sink != nil {
-						sink.fork(v)
-					}
-				}
-			} else {
-				taken = m.vregs[blk.Term.A] != 0
-			}
-			if taken {
-				bi = blk.Succ[0]
-			} else {
-				bi = blk.Succ[1]
-			}
-		case ir.Ret:
-			if !live() && !cur.rekey {
-				cur.incomplete = true
-			}
-			copy(m.argI, m.argBuf)
-			key := buildKey(m.argI, m.argQ)
-			if sink != nil && live() {
-				sink.ret(key)
-			}
-			m.curKey = key
-			if m.stop != nil && m.stop(m) {
-				m.done = true
-			}
-			return nil
-		}
-		if blk.HasDyn && cur != nil {
-			cur.blockDone()
-		}
-	}
-}
-
 func b2i(v int64) int64 {
 	if v != 0 {
 		return 1
@@ -704,92 +570,6 @@ func (m *Machine) queue(qid int32) *Queue {
 	return m.argQ[^qid]
 }
 
-// exec interprets one IR instruction against the machine state.
-func (m *Machine) exec(inst *ir.Inst) {
-	v := m.vregs
-	switch inst.Op {
-	case ir.Const:
-		v[inst.D] = inst.Imm
-	case ir.Mov:
-		v[inst.D] = v[inst.A]
-	case ir.Bin:
-		v[inst.D] = types.EvalBinary(token.Kind(inst.Sub), v[inst.A], v[inst.B])
-	case ir.Un:
-		v[inst.D] = evalUn(inst.Sub, v[inst.A])
-	case ir.Ext:
-		v[inst.D] = extend(v[inst.A], inst.Imm, inst.Sub == 1)
-	case ir.LoadG:
-		v[inst.D] = m.globals[inst.Imm]
-	case ir.StoreG:
-		m.globals[inst.Imm] = v[inst.A]
-	case ir.LoadA:
-		arr := m.arrays[inst.Imm]
-		i := v[inst.A]
-		if i >= 0 && i < int64(len(arr)) {
-			v[inst.D] = arr[i]
-		} else {
-			v[inst.D] = 0
-		}
-	case ir.StoreA:
-		arr := m.arrays[inst.Imm]
-		i := v[inst.A]
-		if i >= 0 && i < int64(len(arr)) {
-			arr[i] = v[inst.B]
-		}
-	case ir.Fetch:
-		v[inst.D] = int64(m.text.FetchWord(uint64(v[inst.A])))
-	case ir.QOp:
-		m.execQOp(inst)
-	case ir.CallExt:
-		fn := m.externs[inst.Imm]
-		if fn == nil {
-			panic(fmt.Sprintf("rt: extern %q not registered", m.p.Externs[inst.Imm]))
-		}
-		args := m.scratch[:len(inst.Args)]
-		for i, a := range inst.Args {
-			args[i] = v[a]
-		}
-		v[inst.D] = fn(args)
-	case ir.SetArg:
-		m.argBuf[inst.Imm] = v[inst.A]
-	case ir.Pin:
-		v[inst.D] = v[inst.A]
-	}
-}
-
-func (m *Machine) execQOp(inst *ir.Inst) {
-	v := m.vregs
-	q := m.queue(inst.QID)
-	var res int64
-	switch inst.Sub {
-	case ir.QSize:
-		res = int64(q.Size())
-	case ir.QPush:
-		vals := m.scratch[:len(inst.Args)]
-		for i, a := range inst.Args {
-			vals[i] = v[a]
-		}
-		q.Push(vals)
-	case ir.QPop:
-		res = q.Pop()
-	case ir.QGet:
-		res = q.Get(v[inst.A], v[inst.B])
-	case ir.QSet:
-		q.Set(v[inst.A], v[inst.B], v[inst.Args[0]])
-	case ir.QFront:
-		res = q.Front(v[inst.A])
-	case ir.QFull:
-		if q.Full() {
-			res = 1
-		}
-	case ir.QClear:
-		q.Clear()
-	}
-	if inst.D >= 0 {
-		v[inst.D] = res
-	}
-}
-
 func evalUn(sub uint8, a int64) int64 {
 	switch token.Kind(sub) {
 	case token.MINUS:
@@ -818,7 +598,18 @@ func extend(a int64, bits int64, signed bool) int64 {
 	return int64(uint64(a) << shift >> shift)
 }
 
+// nextKey returns the key of the next step to run. A memoizing machine
+// keeps it in curKey: replay advances the key, not main's arguments. A
+// non-memoizing machine runs every step slow, which keeps the arguments
+// current, so it builds the key only when asked.
+func (m *Machine) nextKey() string {
+	if m.opt.Memoize || !m.started {
+		return m.curKey
+	}
+	return buildKey(m.argI, m.argQ)
+}
+
 // DebugState exposes internals for tests (current key bytes and args).
 func (m *Machine) DebugState() (key string, argI []int64) {
-	return m.curKey, append([]int64(nil), m.argI...)
+	return m.nextKey(), append([]int64(nil), m.argI...)
 }

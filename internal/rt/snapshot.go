@@ -26,7 +26,8 @@ func (q *Queue) LoadState(r *snapshot.Reader) error {
 
 // SaveState serializes the machine's complete run-time state at a step
 // boundary: globals, arrays, queues, main's argument state, the pending
-// step key, and the self-check PRNG.
+// step key, and the self-check PRNG. A memoizing and a non-memoizing
+// machine at the same step save the same state.
 //
 // The accounting section carries the run statistics; the action cache is
 // deliberately excluded and re-warms after a restore, so a restored run's
@@ -35,6 +36,12 @@ func (q *Queue) LoadState(r *snapshot.Reader) error {
 // host functions: the caller re-registers them (with their own saved state,
 // e.g. facsim's Env) when rebuilding the machine.
 func (m *Machine) SaveState(w *snapshot.Writer) {
+	if m.opt.Memoize && m.started && parseKey(m.curKey, m.argI, m.argQ) {
+		// Replay advances only the step key: bring main's arguments up to
+		// date from it, as the next slow step would. Replay never reads
+		// them.
+		copy(m.argBuf, m.argI)
+	}
 	w.I64s(m.globals)
 	w.U64(uint64(len(m.arrays)))
 	for _, a := range m.arrays {
@@ -50,7 +57,7 @@ func (m *Machine) SaveState(w *snapshot.Writer) {
 	}
 	w.I64s(m.argI)
 	w.I64s(m.argBuf)
-	w.String(m.curKey)
+	w.String(m.nextKey())
 	w.Bool(m.started)
 	w.Bool(m.done)
 	w.U64(m.scState)
@@ -119,12 +126,20 @@ func (m *Machine) LoadState(r *snapshot.Reader) error {
 	}
 	copy(m.argI, argI)
 	copy(m.argBuf, argBuf)
-	m.curKey = r.String()
+	key := r.String()
 	m.started = r.Bool()
 	m.done = r.Bool()
 	m.scState = r.U64()
-	if m.started && m.curKey != "" && !validKey(m.curKey, len(m.argI), m.argQ) {
+	if m.started && key != "" && !validKey(key, len(m.argI), m.argQ) {
 		return fmt.Errorf("rt: snapshot step key does not parse against this program")
+	}
+	m.curKey = ""
+	if m.opt.Memoize {
+		m.curKey = key
+	} else if m.started && key != "" {
+		// The key, validated above, is the authority on main's arguments;
+		// a non-memoizing machine keeps the arguments instead.
+		parseKey(key, m.argI, m.argQ)
 	}
 
 	m.stats.SlowSteps = r.U64()
