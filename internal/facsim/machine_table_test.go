@@ -5,6 +5,8 @@ import (
 
 	"facile/internal/arch/ooo"
 	"facile/internal/arch/uarch"
+	"facile/internal/isa/loader"
+	"facile/internal/rt"
 	wl "facile/internal/workloads"
 )
 
@@ -46,7 +48,8 @@ var oooPins = map[string]oooPin{
 // budget on every bundled program, and logs the cycle difference against
 // the hand-coded ooo model. The two simulate different machines today
 // (cache timing at dispatch vs. issue, memory ordering), so the difference
-// is reported, not asserted.
+// is reported, not asserted. It also pins the memoizing machine's counters
+// (memoPins) for fac-ooo on every program and fac-inorder on two.
 func TestOOOMachineTable(t *testing.T) {
 	if raceEnabled {
 		t.Skip("one goroutine, exact counts: nothing for the race detector to find")
@@ -83,6 +86,74 @@ func TestOOOMachineTable(t *testing.T) {
 			if ops > pin.opsPerStep {
 				t.Errorf("slow step runs %d IR ops per step, budget %d", ops, pin.opsPerStep)
 			}
+			checkMemoPin(t, KindOOO+"/"+name, w, NewOOO)
 		})
+	}
+	for _, name := range []string{"130.li", "129.compress"} {
+		t.Run(KindInOrder+"/"+name, func(t *testing.T) {
+			w, err := wlGet(name, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkMemoPin(t, KindInOrder+"/"+name, w, NewInOrder)
+		})
+	}
+}
+
+// memoPin is a memoizing machine's exact counters on one bundled program at
+// scale 1. Replay must be observationally identical however it dispatches,
+// so these change only with the description, the compiler or the recorder.
+type memoPin struct {
+	slowSteps, replays, misses, keyMisses, fastOps, memoBytes uint64
+}
+
+func memoPinOf(st rt.Stats) memoPin {
+	return memoPin{st.SlowSteps, st.Replays, st.Misses, st.KeyMisses, st.FastOps, st.TotalMemoBytes}
+}
+
+// memoPins holds fac-ooo's Memoize:true counters on every bundled program
+// and fac-inorder's on two, keyed "engine/program".
+var memoPins = map[string]memoPin{
+	"fac-ooo/099.go":           {343, 90662, 75, 268, 3662309, 768480},
+	"fac-ooo/124.m88ksim":      {76, 5438, 7, 69, 434511, 379860},
+	"fac-ooo/126.gcc":          {240, 15812, 34, 206, 1019498, 936332},
+	"fac-ooo/129.compress":     {37, 5955, 10, 27, 616884, 142574},
+	"fac-ooo/130.li":           {44, 3688, 6, 38, 220331, 225622},
+	"fac-ooo/132.ijpeg":        {207, 10102, 51, 156, 1133619, 1033224},
+	"fac-ooo/134.perl":         {190, 7044, 36, 154, 529166, 623781},
+	"fac-ooo/147.vortex":       {109, 10995, 29, 80, 612880, 507740},
+	"fac-ooo/101.tomcatv":      {47, 3896, 5, 42, 818760, 314518},
+	"fac-ooo/102.swim":         {42, 3266, 5, 37, 798177, 328120},
+	"fac-ooo/103.su2cor":       {90, 3464, 12, 78, 598648, 582184},
+	"fac-ooo/104.hydro2d":      {97, 7993, 23, 74, 919563, 468900},
+	"fac-ooo/107.mgrid":        {62, 5287, 10, 52, 1295074, 473555},
+	"fac-ooo/110.applu":        {64, 1681, 9, 55, 268782, 416780},
+	"fac-ooo/125.turb3d":       {173, 4818, 30, 143, 564405, 995449},
+	"fac-ooo/141.apsi":         {134, 4008, 32, 102, 321639, 471249},
+	"fac-ooo/145.fpppp":        {35, 381, 1, 34, 234838, 555208},
+	"fac-ooo/146.wave5":        {43, 1196, 9, 34, 298947, 435194},
+	"fac-inorder/130.li":       {80, 15721, 15, 65, 287674, 46204},
+	"fac-inorder/129.compress": {69, 46650, 9, 60, 842526, 40010},
+}
+
+// checkMemoPin runs a memoizing machine built by mk on w and compares its
+// counters with memoPins[key].
+func checkMemoPin(t *testing.T, key string, w *wl.Workload, mk func(*loader.Program, Options) (*Instance, error)) {
+	t.Helper()
+	in, err := mk(w.Prog, Options{Memoize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := in.Run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := memoPinOf(res.Stats)
+	pin, ok := memoPins[key]
+	if !ok {
+		t.Fatalf("no memo pin for %s: %#v", key, got)
+	}
+	if got != pin {
+		t.Errorf("%s memoizing counters %+v, pinned %+v", key, got, pin)
 	}
 }
