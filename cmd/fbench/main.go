@@ -50,8 +50,6 @@ func main() {
 		"with -bench-out: gate the fresh artifact against this baseline (exit 1 on regression)")
 	noise := flag.Float64("noise", bench.DefaultNoiseBand,
 		"allowed fractional throughput loss for -bench-compare (deterministic counts must match exactly)")
-	replay := flag.String("replay", runcfg.ReplayCompiled,
-		"memoized replay dispatch: "+strings.Join(runcfg.ReplayModes(), " or "))
 	server := flag.String("server", "", "fsimd base URL; submit jobs there instead of simulating locally")
 	engine := flag.String("engine", runcfg.EngineFastsim, "engine for -server jobs")
 	memoize := flag.Bool("memoize", true, "memoize -server jobs (required for warm-cache sharing)")
@@ -76,7 +74,6 @@ func main() {
 	cfg := bench.DefaultConfig()
 	cfg.Scale = *scale
 	cfg.Workers = *parallel
-	cfg.Replay = *replay
 	if *benches != "" {
 		cfg.Names = strings.Split(*benches, ",")
 	}

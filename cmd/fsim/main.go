@@ -64,8 +64,6 @@ func main() {
 		"instructions between observability samples (0 = default)")
 	noVet := flag.Bool("no-vet", false,
 		"skip the static-analysis preflight of the bundled Facile description (fac-* simulators)")
-	replay := flag.String("replay", runcfg.ReplayCompiled,
-		"memoized replay dispatch: "+strings.Join(runcfg.ReplayModes(), " or "))
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *version {
@@ -129,7 +127,6 @@ func main() {
 		Engine:        *simName,
 		Memoize:       *memo,
 		CacheCapBytes: *capMB << 20,
-		Replay:        *replay,
 		Obs:           rec,
 		SampleEvery:   *sampleEvery,
 	}
@@ -147,8 +144,7 @@ func main() {
 			die(fmt.Errorf("-parsim requires -sim fastsim"))
 		}
 		opt := fastsim.Options{Memoize: *memo, CacheCapBytes: cfg.CacheCapBytes,
-			ReplayInterp: *replay == runcfg.ReplayInterp,
-			Obs:          rec, SampleEvery: *sampleEvery}
+			Obs: rec, SampleEvery: *sampleEvery}
 		runParsim(prog, opt, *parWorkers, *parInterval, t0)
 		return
 	}

@@ -9,6 +9,7 @@ import (
 	"facile/internal/arch/uarch"
 	"facile/internal/faults"
 	"facile/internal/lang/ir"
+	"facile/internal/workloads"
 )
 
 // TestEmptyPathMissDegrades poisons the action cache with an entry whose
@@ -101,9 +102,8 @@ func TestCompiledReplayMatchesInterp(t *testing.T) {
 		for _, v := range variants {
 			t.Run(w.name+"/"+v.name, func(t *testing.T) {
 				p := asmOrDie(t, w.src)
-				oi := v.opt()
-				oi.ReplayInterp = true
-				si := New(uarch.Default(), p, oi)
+				si := New(uarch.Default(), p, v.opt())
+				si.interp = true
 				ri := si.Run(0)
 				sc := New(uarch.Default(), p, v.opt())
 				rc := sc.Run(0)
@@ -115,6 +115,36 @@ func TestCompiledReplayMatchesInterp(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestReplayModesBitIdentical runs every bundled workload at scale 1
+// through the memoizing simulator under both replay dispatchers and
+// requires the results and the complete stats (replays, misses, faults,
+// degradations, cache accounting) to be bit-identical: the compiled
+// substrate may only be faster, never different.
+func TestReplayModesBitIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-suite determinism sweep skipped in -short mode")
+	}
+	for _, name := range workloads.Names() {
+		t.Run(name, func(t *testing.T) {
+			w, err := workloads.Get(name, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			si := New(uarch.Default(), w.Prog, Options{Memoize: true})
+			si.interp = true
+			ri := si.Run(0)
+			sc := New(uarch.Default(), w.Prog, Options{Memoize: true})
+			rc := sc.Run(0)
+			if !reflect.DeepEqual(ri, rc) {
+				t.Errorf("results diverge:\n  interp   %+v\n  compiled %+v", ri, rc)
+			}
+			if sti, stc := si.Stats(), sc.Stats(); !reflect.DeepEqual(sti, stc) {
+				t.Errorf("stats diverge:\n  interp   %+v\n  compiled %+v", sti, stc)
+			}
+		})
 	}
 }
 

@@ -222,12 +222,6 @@ type Options struct {
 	// (0 = default 1<<20). It catches cycles in a corrupted action graph.
 	MaxReplayActions uint64
 
-	// ReplayInterp selects the action-at-a-time replay interpreter instead
-	// of the compiled closure-array substrate (see compile.go). The two
-	// paths are bit-identical; the interpreter remains as an escape hatch
-	// and as the differential-testing reference.
-	ReplayInterp bool
-
 	// MaxStepCycles bounds the cycles one slow step may simulate before the
 	// watchdog trips (0 = default 1<<22).
 	MaxStepCycles uint64
@@ -296,7 +290,10 @@ type Sim struct {
 	scDiverged uint64
 	lastFault  *faults.Fault
 
-	compiled bool // threaded/fused replay dispatch (== !opt.ReplayInterp)
+	// interp selects the action-at-a-time replay interpreter instead of the
+	// compiled closure-array substrate (see compile.go). The two are
+	// bit-identical; only this package's tests set it, as their reference.
+	interp bool
 
 	obs        *obs.Recorder
 	sampler    *obs.Sampler
@@ -341,7 +338,6 @@ func New(cfg uarch.Config, prog *loader.Program, opt Options) *Sim {
 		s.scState = 0xD1B54A32D192ED03
 	}
 	s.eng.maxStepCycles = opt.MaxStepCycles
-	s.compiled = !opt.ReplayInterp
 	reg := opt.Obs.Registry()
 	s.hStepActs = reg.Histogram("fastsim.replay_actions_per_step")
 	s.hEntrySize = reg.Histogram("fastsim.entry_bytes")

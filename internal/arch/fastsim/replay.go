@@ -46,7 +46,7 @@ func (s *Sim) replayFrom(e *centry, maxInsts uint64) {
 			s.degradeStep(e)
 			return
 		}
-		if s.compiled && fusable(a.kind) {
+		if !s.interp && fusable(a.kind) {
 			// Compiled fast path: execute the superinstruction headed at a —
 			// a straight-line run of pure-flow actions — as one fused call
 			// sequence. Built lazily per head action and discarded whenever

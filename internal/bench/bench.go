@@ -29,7 +29,6 @@ type Config struct {
 	CacheCap  uint64   // action cache cap in bytes (0 = unlimited)
 	PaperCapM uint64   // cap used for the figure runs, in MB (paper: 256)
 	Workers   int      // benchmarks simulated concurrently (<=1 = sequential)
-	Replay    string   // replay dispatch for memoizing runs ("" = compiled)
 }
 
 // DefaultConfig mirrors the paper's setup at a laptop-friendly scale.
@@ -157,7 +156,7 @@ func Table2(cfg Config) ([]Row, error) {
 			return err
 		}
 		res, st, d, err := timedRun(w.Prog, runcfg.Config{
-			Engine: runcfg.EngineFastsim, Memoize: true, Replay: cfg.Replay,
+			Engine: runcfg.EngineFastsim, Memoize: true,
 		})
 		if err != nil {
 			return err
@@ -205,13 +204,12 @@ func figureRows(cfg Config, engine string) ([]Row, error) {
 		if err != nil {
 			return err
 		}
-		plain, _, dPlain, err := timedRun(w.Prog, runcfg.Config{Engine: engine, Replay: cfg.Replay})
+		plain, _, dPlain, err := timedRun(w.Prog, runcfg.Config{Engine: engine})
 		if err != nil {
 			return fmt.Errorf("%s (no memo): %w", name, err)
 		}
 		memo, st, dMemo, err := timedRun(w.Prog, runcfg.Config{
 			Engine: engine, Memoize: true, CacheCapBytes: cfg.PaperCapM << 20,
-			Replay: cfg.Replay,
 		})
 		if err != nil {
 			return fmt.Errorf("%s (memo): %w", name, err)

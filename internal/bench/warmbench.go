@@ -47,15 +47,14 @@ type WarmRestartRecord struct {
 const warmRestartReps = 3
 
 // WarmRestart measures one workload's warm-vs-cold-restart comparison
-// through a throwaway on-disk store. replay selects the fast-path
-// dispatch ("" = compiled); the warm run exercises the lazy
-// rebuild-after-adoption path of the compiled substrate.
-func WarmRestart(name string, scale int, engine, replay string) (WarmRestartRecord, error) {
+// through a throwaway on-disk store. The warm run exercises the lazy
+// rebuild-after-adoption path of the fused replay state.
+func WarmRestart(name string, scale int, engine string) (WarmRestartRecord, error) {
 	w, err := workloads.Get(name, scale)
 	if err != nil {
 		return WarmRestartRecord{}, err
 	}
-	cfg := runcfg.Config{Engine: engine, Memoize: true, Replay: replay}
+	cfg := runcfg.Config{Engine: engine, Memoize: true}
 
 	// Each configuration is timed warmRestartReps times and the minimum is
 	// reported: the runs are deterministic, so the best observation is the
@@ -202,7 +201,7 @@ func RunBenchOut(cfg Config) (*BenchOut, error) {
 		Rows:        rows,
 	}
 	for _, name := range cfg.names() {
-		rec, err := WarmRestart(name, cfg.Scale, runcfg.EngineFastsim, cfg.Replay)
+		rec, err := WarmRestart(name, cfg.Scale, runcfg.EngineFastsim)
 		if err != nil {
 			return nil, err
 		}

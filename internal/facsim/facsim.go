@@ -268,10 +268,6 @@ type Options struct {
 	SelfCheckSeed uint64
 	Inject        *faults.Injector
 
-	// ReplayInterp selects rt's replay interpreter over the compiled
-	// closure-chain substrate (see rt.Options.ReplayInterp).
-	ReplayInterp bool
-
 	// Obs, when non-nil, receives the underlying rt machine's memoization
 	// lifecycle and sampled time series (see rt.Options.Obs). SampleEvery
 	// is the sampling interval in executed operations (0 = default).
@@ -299,7 +295,6 @@ func (o Options) rtOptions() rt.Options {
 		SelfCheck:     o.SelfCheck,
 		SelfCheckSeed: o.SelfCheckSeed,
 		Inject:        o.Inject,
-		ReplayInterp:  o.ReplayInterp,
 		Obs:           o.Obs,
 		SampleEvery:   o.SampleEvery,
 	}

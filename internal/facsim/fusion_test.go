@@ -1,7 +1,6 @@
 package facsim
 
 import (
-	"bytes"
 	"testing"
 
 	"facile/internal/isa/loader"
@@ -10,10 +9,8 @@ import (
 
 // TestPredictedFusionMatchesAchieved asserts the static/dynamic coverage
 // equality on every shipped description: the compiler's replay plan
-// (rt.fusion_predicted_*) must agree exactly with what the machine's
-// closure builder compiled under that plan (rt.fusion_compiled_*) — any
-// gap means the trusted compile's placeholder guard tripped, i.e. the
-// static layout proof and the engine disagree. It also pins the
+// (rt.fusion_predicted_*) must agree exactly with the blocks the machine
+// may put in a fused run (rt.fusion_compiled_*). It also pins the
 // preflight-exported fusion facts to the same figures, so what fvet and
 // the job records report is what the engine does.
 func TestPredictedFusionMatchesAchieved(t *testing.T) {
@@ -38,10 +35,10 @@ func TestPredictedFusionMatchesAchieved(t *testing.T) {
 				t.Fatal("no predicted fusable blocks: the compiled description carries no replay plan")
 			}
 			if pb != cb {
-				t.Errorf("predicted %d fusable blocks, engine compiled %d", pb, cb)
+				t.Errorf("predicted %d fusable blocks, engine may fuse %d", pb, cb)
 			}
 			if po != co {
-				t.Errorf("predicted %d fusable ops, engine compiled %d", po, co)
+				t.Errorf("predicted %d fusable ops, engine may fuse %d", po, co)
 			}
 			sum, ok := Preflight(kind)
 			if !ok {
@@ -58,46 +55,5 @@ func TestPredictedFusionMatchesAchieved(t *testing.T) {
 				t.Errorf("fusable ops %d exceed dynamic ops %d", sum.Fusion.FusableOps, sum.Fusion.DynOps)
 			}
 		})
-	}
-}
-
-// TestStaticFactsPreserveReplayParity is the plan-era bit-identity spot
-// check: with the engine consulting the static table (compiled replay)
-// and with the table ignored (interpreted replay), a memoized run must
-// produce identical architectural results, and the compiled run must
-// actually exercise fused dispatch.
-func TestStaticFactsPreserveReplayParity(t *testing.T) {
-	prog := asmOrDie(t, mixedWorkload)
-	run := func(interp bool) (Result, uint64) {
-		rec := obs.NewRecorder(obs.Config{})
-		in, err := NewInOrder(prog, Options{Memoize: true, ReplayInterp: interp, Obs: rec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := in.Run(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, rec.Registry().Counter("rt.fused_dispatches").Load()
-	}
-	resC, fusedC := run(false)
-	resI, fusedI := run(true)
-	if !bytes.Equal(resC.Output, resI.Output) {
-		t.Errorf("compiled output %q != interpreted output %q", resC.Output, resI.Output)
-	}
-	if resC.Exit != resI.Exit {
-		t.Errorf("compiled exit %d != interpreted exit %d", resC.Exit, resI.Exit)
-	}
-	if resC.Cycles != resI.Cycles {
-		t.Errorf("compiled cycles %d != interpreted cycles %d", resC.Cycles, resI.Cycles)
-	}
-	if resC.Stats.Replays == 0 || resC.Stats.Replays != resI.Stats.Replays {
-		t.Errorf("replays diverge: compiled %d, interpreted %d", resC.Stats.Replays, resI.Stats.Replays)
-	}
-	if fusedC == 0 {
-		t.Error("compiled run never dispatched a fused superinstruction")
-	}
-	if fusedI != 0 {
-		t.Errorf("interpreted run dispatched %d fused superinstructions", fusedI)
 	}
 }

@@ -1,80 +1,29 @@
 package compile
 
-import (
-	"fmt"
-
-	"facile/internal/lang/ir"
-	"facile/internal/lang/token"
-)
+import "facile/internal/lang/ir"
 
 // This file is the whole-program fusion/replay dataflow tier: a static,
-// compile-time computation of everything the replay engine's
-// superinstruction builder used to discover at machine-build time.
+// compile-time computation of what the replay engine's fused-run builder
+// can achieve.
 //
-// For every block it proves
+// For every block it computes
 //
 //   - the action class (pure-flow / fork / step-end), from the dynamic
 //     terminator the BTA extracted;
 //
-//   - the placeholder-layout verdict: whether every recorded placeholder
-//     sits in an operand field the replayer reads, in the recorder's
-//     append order, with the total matching NPh — the exact conditions
-//     rt's closure compiler checks per block, proven here once so the
-//     engine can trust the table instead of re-deriving it;
-//
 //   - the maximal pure-flow run threading through the block: the static
-//     upper bound on the superinstruction a replay chain can form here,
-//     computed over the dynamic-successor graph (the first blocks with
-//     dynamic segments reachable along rt-static control flow).
+//     upper bound on the fused run a replay chain can form here, computed
+//     over the dynamic-successor graph (the first blocks with dynamic
+//     segments reachable along rt-static control flow).
 //
 // The verdicts ride on the Program as ir.ReplayPlan (consumed by rt); the
-// richer evidence — why-unfusable cause chains, successor edges, loop
-// membership — feeds the fvet FV07xx analyzers.
-
-// LayoutCauseKind classifies one reason a block's placeholder layout
-// cannot be proven against the recorder's append order.
-type LayoutCauseKind uint8
-
-// Layout cause kinds.
-const (
-	// LayoutPhUnread: a placeholder operand sits in a field the replayer
-	// never reads; the recorder still appends it, so every later
-	// placeholder index would shift.
-	LayoutPhUnread LayoutCauseKind = iota
-	// LayoutPhCount: the compile-time placeholder assignment disagrees
-	// with the recorder's per-execution count (block NPh).
-	LayoutPhCount
-	// LayoutBadInst: the dynamic instruction is structurally malformed
-	// (e.g. a queue set with no value operand).
-	LayoutBadInst
-)
-
-// LayoutCause is one edge of a why-unfusable chain.
-type LayoutCause struct {
-	Kind  LayoutCauseKind
-	Pos   token.Pos // offending dynamic instruction
-	Op    ir.Op
-	Field string // operand field holding the stray placeholder
-	Want  int    // LayoutPhCount: recorder's NPh
-	Got   int    // LayoutPhCount: compile-time assignment
-}
-
-// String renders the cause for diagnostics.
-func (c LayoutCause) String() string {
-	switch c.Kind {
-	case LayoutPhUnread:
-		return fmt.Sprintf("placeholder recorded in operand field %s of op %d, which the replayer never reads", c.Field, c.Op)
-	case LayoutPhCount:
-		return fmt.Sprintf("compile-time placeholder assignment (%d) disagrees with the recorder's per-execution count (%d)", c.Got, c.Want)
-	}
-	return fmt.Sprintf("malformed dynamic instruction (op %d)", c.Op)
-}
+// richer evidence — successor edges, loop membership — feeds the fvet
+// FV07xx analyzers.
 
 // BlockReplayEvidence is the per-block evidence behind a plan verdict.
 type BlockReplayEvidence struct {
-	Causes []LayoutCause // why the layout is unprovable (empty when OK)
-	Succ   []int         // dynamic-successor blocks (first HasDyn blocks downstream)
-	Hot    bool          // block sits inside a CFG cycle (statically hot)
+	Succ []int // dynamic-successor blocks (first HasDyn blocks downstream)
+	Hot  bool  // block sits inside a CFG cycle (statically hot)
 }
 
 // ReplayEvidence pairs the proven plan with its per-block evidence for
@@ -82,102 +31,6 @@ type BlockReplayEvidence struct {
 type ReplayEvidence struct {
 	Plan   *ir.ReplayPlan
 	Blocks []BlockReplayEvidence
-}
-
-// readSet describes which operand fields of a dynamic instruction the
-// replayer reads; placeholders anywhere else break the recorded layout.
-type readSet struct {
-	a, b bool
-	args int // number of leading Args entries read (-1 = all)
-}
-
-// dynReads mirrors the replay interpreter's operand read order (and rt's
-// closure compiler's acceptance rules) exactly: for each op, the fields a
-// recorded placeholder may legally occupy. ok=false marks a structurally
-// malformed instruction.
-func dynReads(di *ir.DynInst) (rs readSet, ok bool) {
-	switch di.Op {
-	case ir.Mov, ir.Un, ir.Ext, ir.StoreG, ir.LoadA, ir.Fetch:
-		return readSet{a: true}, true
-	case ir.Bin, ir.StoreA:
-		return readSet{a: true, b: true}, true
-	case ir.LoadG:
-		return readSet{}, true
-	case ir.QOp:
-		switch di.Sub {
-		case ir.QSize, ir.QPop, ir.QFull, ir.QClear:
-			return readSet{}, true
-		case ir.QPush:
-			return readSet{args: -1}, true
-		case ir.QGet:
-			return readSet{a: true, b: true}, true
-		case ir.QSet:
-			if len(di.Args) < 1 {
-				return readSet{}, false
-			}
-			return readSet{a: true, b: true, args: 1}, true
-		case ir.QFront:
-			return readSet{a: true}, true
-		}
-		// Unknown queue sub-op: the replayer computes res=0 reading nothing.
-		return readSet{}, true
-	case ir.CallExt:
-		return readSet{args: -1}, true
-	}
-	// Unknown dynamic op: the replayer ignores it; no placeholder may hide
-	// in it.
-	return readSet{}, true
-}
-
-// proveLayout runs the compile-time version of the engine's per-block
-// placeholder-layout proof: every SrcPh must occupy a read field (so the
-// compile-time index assignment, which walks read fields in the
-// interpreter's order, matches the recorder's append order), and the
-// total must equal the recorder's NPh.
-func proveLayout(blk *ir.Block) (ok bool, causes []LayoutCause) {
-	ph := 0
-	for i := range blk.Dyn {
-		di := &blk.Dyn[i]
-		rs, wellFormed := dynReads(di)
-		if !wellFormed {
-			causes = append(causes, LayoutCause{Kind: LayoutBadInst, Pos: di.Pos, Op: di.Op})
-			continue
-		}
-		isPh := func(s ir.Src) bool { return s.Kind == ir.SrcPh }
-		if isPh(di.A) {
-			if rs.a {
-				ph++
-			} else {
-				causes = append(causes, LayoutCause{Kind: LayoutPhUnread, Pos: di.Pos, Op: di.Op, Field: "A"})
-			}
-		}
-		if isPh(di.B) {
-			if rs.b {
-				ph++
-			} else {
-				causes = append(causes, LayoutCause{Kind: LayoutPhUnread, Pos: di.Pos, Op: di.Op, Field: "B"})
-			}
-		}
-		for ai, a := range di.Args {
-			if !isPh(a) {
-				continue
-			}
-			if rs.args == -1 || ai < rs.args {
-				ph++
-			} else {
-				causes = append(causes, LayoutCause{Kind: LayoutPhUnread, Pos: di.Pos, Op: di.Op,
-					Field: fmt.Sprintf("Args[%d]", ai)})
-			}
-		}
-	}
-	if len(causes) == 0 && ph != blk.NPh {
-		pos := token.Pos{}
-		if len(blk.Dyn) > 0 {
-			pos = blk.Dyn[0].Pos
-		}
-		causes = append(causes, LayoutCause{Kind: LayoutPhCount, Pos: pos, Want: blk.NPh, Got: ph})
-	}
-	return len(causes) == 0, causes
 }
 
 // classOf maps a block's extracted dynamic terminator to its replay class.
@@ -315,9 +168,8 @@ func hotBlocks(p *ir.Program) []bool {
 	return hot
 }
 
-// buildReplayPlan proves the whole-program fusion/replay table: per-block
-// class and layout verdicts, the dynamic-successor graph, and maximal
-// pure-flow run lengths. The plan is what engines consume; the evidence
+// buildReplayPlan computes the whole-program fusion/replay table: per-block
+// classes, the dynamic-successor graph, and maximal pure-flow run lengths. The plan is what engines consume; the evidence
 // feeds diagnostics.
 func buildReplayPlan(p *ir.Program) (*ir.ReplayPlan, *ReplayEvidence) {
 	n := len(p.Blocks)
@@ -329,16 +181,12 @@ func buildReplayPlan(p *ir.Program) (*ir.ReplayPlan, *ReplayEvidence) {
 		br.Class = classOf(blk)
 		br.DynOps = len(blk.Dyn)
 		if br.Class == ir.ReplayNoDyn {
-			br.LayoutOK = true // trivially: nothing is recorded
 			continue
 		}
-		ok, causes := proveLayout(blk)
-		br.LayoutOK = ok
-		ev.Blocks[bi].Causes = causes
 		ev.Blocks[bi].Succ = dynSuccessors(p, bi)
 		plan.DynBlocks++
 		plan.DynOps += len(blk.Dyn)
-		if br.Class == ir.ReplayPure && ok {
+		if br.Class == ir.ReplayPure {
 			plan.FusableBlocks++
 			plan.FusableOps += len(blk.Dyn)
 		}

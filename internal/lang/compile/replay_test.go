@@ -6,10 +6,6 @@ import (
 	"facile/internal/lang/ir"
 )
 
-func ph() ir.Src    { return ir.Src{Kind: ir.SrcPh} }
-func vreg() ir.Src  { return ir.Src{Kind: ir.SrcVReg} }
-func konst() ir.Src { return ir.Src{Kind: ir.SrcConst, Const: 1} }
-
 // pureBlock builds a DTNone block whose NPh matches the placeholder count
 // the recorder would log for the given instructions.
 func pureBlock(id, nph int, dyn ...ir.DynInst) *ir.Block {
@@ -21,66 +17,6 @@ func noDyn(id int, succ ...int) *ir.Block {
 	b := &ir.Block{ID: id, Succ: [2]int{-1, -1}}
 	copy(b.Succ[:], succ)
 	return b
-}
-
-func TestProveLayoutAccepts(t *testing.T) {
-	blk := pureBlock(0, 3,
-		ir.DynInst{Op: ir.Bin, A: ph(), B: ph()},
-		ir.DynInst{Op: ir.StoreG, A: ph()},
-		ir.DynInst{Op: ir.LoadG},
-	)
-	ok, causes := proveLayout(blk)
-	if !ok || len(causes) != 0 {
-		t.Fatalf("layout rejected: %v", causes)
-	}
-}
-
-func TestProveLayoutUnreadField(t *testing.T) {
-	// LoadG reads no operand fields: a placeholder in A is recorded but
-	// never consumed, shifting every later index.
-	blk := pureBlock(0, 1, ir.DynInst{Op: ir.LoadG, A: ph()})
-	ok, causes := proveLayout(blk)
-	if ok || len(causes) != 1 {
-		t.Fatalf("ok=%v causes=%v, want one unread-field cause", ok, causes)
-	}
-	if c := causes[0]; c.Kind != LayoutPhUnread || c.Field != "A" {
-		t.Errorf("cause = %+v, want LayoutPhUnread in field A", c)
-	}
-}
-
-func TestProveLayoutArgsBeyondReadCount(t *testing.T) {
-	// QSet reads A, B, and Args[0] only; a placeholder in Args[1] is
-	// appended by the recorder but never read back.
-	blk := pureBlock(0, 3, ir.DynInst{Op: ir.QOp, Sub: ir.QSet,
-		A: ph(), B: ph(), Args: []ir.Src{ph(), ph()}})
-	ok, causes := proveLayout(blk)
-	if ok || len(causes) != 1 {
-		t.Fatalf("ok=%v causes=%v, want one unread-field cause", ok, causes)
-	}
-	if c := causes[0]; c.Kind != LayoutPhUnread || c.Field != "Args[1]" {
-		t.Errorf("cause = %+v, want LayoutPhUnread in Args[1]", c)
-	}
-}
-
-func TestProveLayoutMalformedQSet(t *testing.T) {
-	blk := pureBlock(0, 0, ir.DynInst{Op: ir.QOp, Sub: ir.QSet, A: vreg(), B: konst()})
-	ok, causes := proveLayout(blk)
-	if ok || len(causes) != 1 || causes[0].Kind != LayoutBadInst {
-		t.Fatalf("ok=%v causes=%v, want one malformed-instruction cause", ok, causes)
-	}
-}
-
-func TestProveLayoutPhCountMismatch(t *testing.T) {
-	// The write-through StoreG quirk: the recorder counts a placeholder
-	// the compile-time assignment does not see in a read field.
-	blk := pureBlock(0, 2, ir.DynInst{Op: ir.StoreG, A: ph()})
-	ok, causes := proveLayout(blk)
-	if ok || len(causes) != 1 {
-		t.Fatalf("ok=%v causes=%v, want one count-mismatch cause", ok, causes)
-	}
-	if c := causes[0]; c.Kind != LayoutPhCount || c.Want != 2 || c.Got != 1 {
-		t.Errorf("cause = %+v, want LayoutPhCount want=2 got=1", c)
-	}
 }
 
 func TestClassOf(t *testing.T) {
@@ -176,21 +112,5 @@ func TestMaxRunCycleCapped(t *testing.T) {
 	}
 	if !ev.Blocks[0].Hot {
 		t.Error("self-loop block not marked hot")
-	}
-}
-
-func TestPlanLayoutFailureBlocksFusion(t *testing.T) {
-	// A layout-unprovable pure block must not count as fusable, and
-	// Fusable() must agree.
-	b := pureBlock(0, 1, ir.DynInst{Op: ir.LoadG, A: ph()})
-	plan, ev := buildReplayPlan(&ir.Program{Blocks: []*ir.Block{b}})
-	if plan.Fusable(0) {
-		t.Error("layout-unprovable block reported fusable")
-	}
-	if plan.FusableBlocks != 0 || plan.FusableOps != 0 {
-		t.Errorf("aggregates count unfusable work: %+v", plan)
-	}
-	if len(ev.Blocks[0].Causes) == 0 {
-		t.Error("no evidence causes for the layout failure")
 	}
 }

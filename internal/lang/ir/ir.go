@@ -199,9 +199,8 @@ type Program struct {
 	// (params, locals, decoded fields). Compiler temporaries are absent.
 	VRegNames map[int32]VRegName
 
-	// Replay is the proven fusion/replay plan (see replay.go), attached by
-	// the compiler after action extraction. Nil for hand-constructed IR;
-	// engines then fall back to their own per-block layout proof.
+	// Replay is the fusion/replay plan (see replay.go), attached by the
+	// compiler after action extraction. Nil for hand-constructed IR.
 	Replay *ReplayPlan
 
 	// Stats from compilation, reported by the driver.

@@ -1,14 +1,14 @@
 package ir
 
 // This file defines the compile-time replay/fusion plan: the static table
-// the compiler proves once per program and the replay engine consults at
-// machine-build time instead of re-deriving per block. It is the static
-// counterpart of rt's superinstruction builder — see compile's replay
-// analysis for how the verdicts are computed.
+// the compiler computes once per program, which fvet reports and the
+// replay engine compares with what it may fuse. It is the static
+// counterpart of rt's fused-run builder — see compile's replay analysis
+// for how the verdicts are computed.
 
-// Fuse limits shared by the static planner and the replay engines: a
-// superinstruction's node count is capped at MaxFuseLen, and runs shorter
-// than MinFuseLen are not worth fused dispatch.
+// Fuse limits shared by the static planner and the replay engines: a fused
+// run's node count is capped at MaxFuseLen, and runs shorter than
+// MinFuseLen are not worth fused dispatch.
 const (
 	MaxFuseLen = 1024
 	MinFuseLen = 2
@@ -48,15 +48,9 @@ func (c ReplayClass) String() string {
 	return "no-dyn"
 }
 
-// BlockReplay is the proven per-block replay verdict.
+// BlockReplay is the per-block replay verdict.
 type BlockReplay struct {
 	Class ReplayClass
-
-	// LayoutOK reports that the block's placeholder layout is proven to
-	// match the recorder's append order (every SrcPh operand sits in a
-	// field the replayer reads, and the count equals NPh), so specialized
-	// closures may consume recorded data without re-validating it.
-	LayoutOK bool
 
 	// MaxRun is the length (in actions) of the longest pure-flow run a
 	// replay chain can thread through this block, capped at the fuse
@@ -68,26 +62,23 @@ type BlockReplay struct {
 }
 
 // ReplayPlan is the whole-program fusion/replay table attached to a
-// compiled Program. Engines treat it as proven: a nil plan (hand-built IR,
-// older snapshots) falls back to the engine's own per-block proof.
+// compiled Program. Hand-built IR carries none.
 type ReplayPlan struct {
 	Blocks []BlockReplay
 
 	// Aggregates over blocks with a dynamic segment.
 	DynBlocks     int // blocks recorded as actions (HasDyn)
-	FusableBlocks int // pure-flow blocks with a proven layout
+	FusableBlocks int // pure-flow blocks
 	DynOps        int // dynamic instructions across all segments
 	FusableOps    int // dynamic instructions inside fusable blocks
 }
 
-// Fusable reports whether block bi may be compiled into a superinstruction
-// without re-proving its operand layout.
+// Fusable reports whether block bi may join a fused run: it is pure-flow.
 func (pl *ReplayPlan) Fusable(bi int) bool {
 	if pl == nil || bi < 0 || bi >= len(pl.Blocks) {
 		return false
 	}
-	b := &pl.Blocks[bi]
-	return b.Class == ReplayPure && b.LayoutOK
+	return pl.Blocks[bi].Class == ReplayPure
 }
 
 // Coverage is the predicted fusion coverage: the fraction of dynamic

@@ -9,20 +9,17 @@ import (
 )
 
 // fusionAnalyzer surfaces the compiler's static fusion/replay dataflow
-// tier (compile's replay plan): which blocks the compiled-replay engine
-// can fuse into superinstructions, which dynamic-result tests sever those
-// runs, and which placeholder layouts are unprovable against the
-// recorder's append order. The same proven table the engine consumes at
-// machine-build time backs every finding, so a diagnostic here is a
-// statement about what the replay fast path will actually do.
+// tier (compile's replay plan): which blocks the replay engine can fuse
+// into runs and which dynamic-result tests sever those runs. The engine
+// fuses exactly the blocks the plan calls fusable, so a diagnostic here is
+// a statement about what the replay fast path will actually do.
 var fusionAnalyzer = &Analyzer{
 	Name: "fusion",
-	Doc:  "static fusion/replay dataflow: barriers, coverage, layout proofs",
+	Doc:  "static fusion/replay dataflow: barriers, coverage, short hot runs",
 	Codes: []CodeDoc{
 		{"FV0701", SevWarning, "dynamic-result test forms a fusion barrier severing a pure-flow replay run (with the why-dynamic cause chain)"},
 		{"FV0702", SevWarning, "predicted fusion coverage for a unit is below threshold (explain mode reports every unit's coverage as info)"},
 		{"FV0703", SevWarning, "statically-hot pure-flow region whose maximal run is shorter than the minimum fuse length"},
-		{"FV0704", SevWarning, "operand layout unprovable against the recorder's placeholder append order; the block replays interpreted"},
 	},
 	Run: runFusion,
 }
@@ -39,7 +36,6 @@ func runFusion(p *Pass) {
 	heads := stepHeads(p.IR)
 	reportBarriers(p, heads)
 	reportShortHotRuns(p)
-	reportLayouts(p)
 	reportCoverage(p)
 }
 
@@ -181,32 +177,6 @@ func reportShortHotRuns(p *Pass) {
 	}
 }
 
-// reportLayouts emits FV0704 per layout cause: the block's recorded
-// placeholder data cannot be proven to line up with the fields its
-// replayed operations read, so the engine leaves it interpreted.
-func reportLayouts(p *Pass) {
-	ev := p.Facts.Replay
-	type rkey struct {
-		pos source.Position
-		msg string
-	}
-	seen := map[rkey]bool{}
-	for bi := range p.IR.Blocks {
-		for _, c := range ev.Blocks[bi].Causes {
-			msg := "placeholder layout unprovable against the recorder's append order: " +
-				c.String() + "; the block replays interpreted"
-			k := rkey{p.Position(c.Pos), msg}
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			p.Report(Diagnostic{Code: "FV0704", Severity: SevWarning, Analyzer: "fusion",
-				Pos: p.Position(c.Pos), Message: msg,
-				Fix: "restructure the expression so run-time static values feed operands the operation actually reads"})
-		}
-	}
-}
-
 // reportCoverage emits the per-unit FV0702 verdicts: a warning when the
 // predicted fusion coverage falls below the threshold, and (in explain
 // mode) an info stating every unit's predicted coverage — the same
@@ -256,13 +226,8 @@ func fusionSummary(prog *ir.Program) *FusionSummary {
 		Coverage:      pl.Coverage(),
 	}
 	for i := range pl.Blocks {
-		switch pl.Blocks[i].Class {
-		case ir.ReplayFork:
+		if pl.Blocks[i].Class == ir.ReplayFork {
 			fs.Barriers++
-		case ir.ReplayPure, ir.ReplayRet:
-			if !pl.Blocks[i].LayoutOK {
-				fs.LayoutUnproven++
-			}
 		}
 		if r := pl.Blocks[i].MaxRun; r > fs.MaxRun {
 			fs.MaxRun = r

@@ -11,8 +11,8 @@ type Summary struct {
 	// so a rejected submission explains itself.
 	ErrorFindings []string `json:"error_findings,omitempty"`
 	// Fusion carries the unit's static fusion facts (predicted coverage,
-	// barriers, layout verdicts) when the unit compiled — the same proven
-	// table the replay engine consults at machine-build time.
+	// barriers) when the unit compiled — the same blocks the replay
+	// engine may fuse.
 	Fusion *FusionSummary `json:"fusion,omitempty"`
 }
 

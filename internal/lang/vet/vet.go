@@ -188,20 +188,18 @@ func (o *Options) codeEnabled(code, analyzer string) bool {
 	return false
 }
 
-// FusionSummary condenses one unit's proven replay plan: the static
-// fusion facts the compiled-replay engine consumes at machine-build time,
-// exported so preflight consumers and job records can report predicted
-// coverage without recompiling.
+// FusionSummary condenses one unit's replay plan: the static fusion facts
+// the replay engine's fused runs achieve, exported so preflight consumers
+// and job records can report predicted coverage without recompiling.
 type FusionSummary struct {
-	Unit           string  `json:"unit,omitempty"`
-	DynBlocks      int     `json:"dyn_blocks"`     // blocks recorded as actions
-	FusableBlocks  int     `json:"fusable_blocks"` // pure-flow blocks with a proven layout
-	DynOps         int     `json:"dyn_ops"`
-	FusableOps     int     `json:"fusable_ops"`
-	Coverage       float64 `json:"coverage"` // FusableOps/DynOps (0..1)
-	MaxRun         int     `json:"max_run"`  // longest provable pure-flow run
-	Barriers       int     `json:"barriers"` // fork (dynamic-result) blocks
-	LayoutUnproven int     `json:"layout_unproven"`
+	Unit          string  `json:"unit,omitempty"`
+	DynBlocks     int     `json:"dyn_blocks"`     // blocks recorded as actions
+	FusableBlocks int     `json:"fusable_blocks"` // pure-flow blocks
+	DynOps        int     `json:"dyn_ops"`
+	FusableOps    int     `json:"fusable_ops"`
+	Coverage      float64 `json:"coverage"` // FusableOps/DynOps (0..1)
+	MaxRun        int     `json:"max_run"`  // longest provable pure-flow run
+	Barriers      int     `json:"barriers"` // fork (dynamic-result) blocks
 }
 
 // Result is the outcome of a vet run.

@@ -141,12 +141,12 @@ func TestFacsimObsWiring(t *testing.T) {
 	}
 	// Registry parity with fastsim: rt reports the same per-step
 	// replay-length histogram, one observation per replayed step, and the
-	// block precompiler must have compiled something.
+	// replay must have dispatched fused runs.
 	reg := rec.Registry()
 	if got := reg.Histogram("rt.replay_nodes_per_step").Count(); got != st.Replays {
 		t.Errorf("replay_nodes_per_step count = %d, Stats.Replays = %d", got, st.Replays)
 	}
-	if reg.Counter("rt.compiled_blocks").Load() == 0 {
-		t.Error("no dynamic blocks were precompiled")
+	if reg.Counter("rt.fused_dispatches").Load() == 0 {
+		t.Error("the replay dispatched no fused run")
 	}
 }

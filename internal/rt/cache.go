@@ -31,8 +31,8 @@ type node struct {
 	link    *centry
 	linkGen uint64
 
-	// Derived compiled-replay state (see compile.go): the superinstruction
-	// headed by this node, valid only while fusedVer equals the owning
+	// Derived replay state (see compile.go): the fused run headed by this
+	// node, valid only while fusedVer equals the owning
 	// entry's cver. Never serialized — snapshot/warmio enumerate fields
 	// explicitly — and rebuilt lazily after warm adoption.
 	fused    *fusedRun
@@ -63,7 +63,7 @@ type centry struct {
 
 	// cver versions the entry's derived replay state: any mutation of the
 	// recorded chain (fault injection, invalidation) bumps it, so stale
-	// superinstructions and successor-key vetting marks are discarded and
+	// fused runs and successor-key vetting marks are discarded and
 	// the mutated chain is re-validated before its next replay.
 	cver uint64
 }

@@ -46,17 +46,20 @@ func TestMissRecoverEmptyPathDegrades(t *testing.T) {
 }
 
 // forkRetProgram is one step of a main with no arguments (so its key is
-// ""): a fork block that stores 7 to global 0 and tests v0, two pure-flow
-// blocks, and a step-end block that stores 9 to global 1. Its replay plan
-// proves every layout, so all four blocks compile.
+// ""): a fork block that stores 7 to global 0, calls extern "tick" and
+// tests v0, two pure-flow blocks, and a step-end block that stores 9 to
+// global 1.
 func forkRetProgram() *ir.Program {
 	c := func(v int64) ir.Src { return ir.Src{Kind: ir.SrcConst, Const: v} }
 	return &ir.Program{
-		NumVReg: 3,
+		NumVReg: 4,
 		Globals: []ir.GlobalDecl{{Name: "g0"}, {Name: "g1"}},
+		Externs: []string{"tick"},
 		Blocks: []*ir.Block{
-			{ID: 0, HasDyn: true, Dyn: []ir.DynInst{{Op: ir.StoreG, Imm: 0, A: c(7)}},
-				DynTerm: ir.DTBr, TermSrc: ir.Src{Kind: ir.SrcVReg}, Term: ir.Inst{Op: ir.Br}},
+			{ID: 0, HasDyn: true, Dyn: []ir.DynInst{
+				{Op: ir.StoreG, Imm: 0, A: c(7)},
+				{Op: ir.CallExt, Imm: 0, D: 3},
+			}, DynTerm: ir.DTBr, TermSrc: ir.Src{Kind: ir.SrcVReg}, Term: ir.Inst{Op: ir.Br}},
 			{ID: 1, HasDyn: true, Dyn: []ir.DynInst{{Op: ir.Mov, D: 1, A: c(1)}}},
 			{ID: 2, HasDyn: true, Dyn: []ir.DynInst{{Op: ir.Mov, D: 2, A: c(2)}}},
 			{ID: 3, HasDyn: true, Dyn: []ir.DynInst{{Op: ir.StoreG, Imm: 1, A: c(9)}},
@@ -64,29 +67,27 @@ func forkRetProgram() *ir.Program {
 		},
 		Replay: &ir.ReplayPlan{
 			Blocks: []ir.BlockReplay{
-				{Class: ir.ReplayFork, LayoutOK: true, DynOps: 1},
-				{Class: ir.ReplayPure, LayoutOK: true, MaxRun: 2, DynOps: 1},
-				{Class: ir.ReplayPure, LayoutOK: true, MaxRun: 1, DynOps: 1},
-				{Class: ir.ReplayRet, LayoutOK: true, DynOps: 1},
+				{Class: ir.ReplayFork, DynOps: 2},
+				{Class: ir.ReplayPure, MaxRun: 2, DynOps: 1},
+				{Class: ir.ReplayPure, MaxRun: 1, DynOps: 1},
+				{Class: ir.ReplayRet, DynOps: 1},
 			},
-			DynBlocks: 4, FusableBlocks: 2, DynOps: 4, FusableOps: 2,
+			DynBlocks: 4, FusableBlocks: 2, DynOps: 5, FusableOps: 2,
 		},
 	}
 }
 
-// TestFusedStateDiscardedOnCverBump pins the derived-state contract on a
-// chain whose fork block is compiled: one replay runs the fork block's
-// closure chain, builds the (empty) run headed at the fork and the fused
-// pure tail, and marks the step-end key vetted. All of that is valid only
-// while the owning entry's cver is unchanged, and both invalidation and
-// fault injection move it.
+// TestFusedStateDiscardedOnCverBump pins the derived-state contract: one
+// replay runs the fork block's segment, builds the (empty) run headed at
+// the fork and the fused pure tail, and marks the step-end key vetted. All
+// of that is valid only while the owning entry's cver is unchanged, and
+// both invalidation and fault injection move it.
 func TestFusedStateDiscardedOnCverBump(t *testing.T) {
 	m := New(forkRetProgram(), nil, Options{Memoize: true, Inject: faults.NewInjector(1, 0)})
-	if !m.code[0].ok || !m.code[3].ok {
-		t.Fatal("fork and step-end blocks with proven layouts must compile")
-	}
 	forkRuns := 0
-	m.code[0].fns = append(m.code[0].fns, func(*Machine, []int64) { forkRuns++ })
+	if err := m.RegisterExtern("tick", func([]int64) int64 { forkRuns++; return 0 }); err != nil {
+		t.Fatal(err)
+	}
 	n3 := &node{blockID: 3, nextKey: ""}
 	n2 := &node{blockID: 2, next: n3}
 	n1 := &node{blockID: 1, next: n2}
@@ -100,7 +101,7 @@ func TestFusedStateDiscardedOnCverBump(t *testing.T) {
 		t.Fatalf("want one clean replay: %+v", st)
 	}
 	if forkRuns != 1 || m.globals[0] != 7 || m.globals[1] != 9 {
-		t.Fatalf("fork chain ran %d times, globals %v; want 1, [7 9]", forkRuns, m.globals)
+		t.Fatalf("fork segment ran %d times, globals %v; want 1, [7 9]", forkRuns, m.globals)
 	}
 	current := func() (fork, tail, key bool) {
 		return n0.fused != nil && n0.fusedVer == e.cver,
@@ -156,33 +157,28 @@ func forkHeadProgram() *ir.Program {
 
 // TestForkAtRunHeadSeversFusion drives buildFused over a fork-headed
 // chain: the run starting at the fork must stay empty, while the same
-// pure tail entered one node later fuses normally. Checked on both the
-// plan-less legacy path and with a static replay plan attached (where
-// the fork block's layout is unproven, so it is not even compiled).
+// pure tail entered one node later fuses normally, with or without a
+// static replay plan attached.
 func TestForkAtRunHeadSeversFusion(t *testing.T) {
 	plan := &ir.ReplayPlan{
 		Blocks: []ir.BlockReplay{
 			{Class: ir.ReplayFork},
-			{Class: ir.ReplayPure, LayoutOK: true, MaxRun: 2, DynOps: 1},
-			{Class: ir.ReplayPure, LayoutOK: true, MaxRun: 1, DynOps: 1},
+			{Class: ir.ReplayPure, MaxRun: 2, DynOps: 1},
+			{Class: ir.ReplayPure, MaxRun: 1, DynOps: 1},
 		},
 		DynBlocks: 3, FusableBlocks: 2, DynOps: 3, FusableOps: 2,
 	}
 	for _, tc := range []struct {
-		name   string
-		plan   *ir.ReplayPlan
-		headOK bool // is the fork block compiled at all?
+		name string
+		plan *ir.ReplayPlan
 	}{
-		{"legacy", nil, true},
-		{"planned", plan, false},
+		{"legacy", nil},
+		{"planned", plan},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := forkHeadProgram()
 			p.Replay = tc.plan
 			m := New(p, nil, Options{Memoize: true})
-			if got := m.code[0].ok; got != tc.headOK {
-				t.Errorf("fork block compiled = %v, want %v", got, tc.headOK)
-			}
 			n2 := &node{blockID: 2}
 			n1 := &node{blockID: 1, next: n2}
 			n0 := &node{blockID: 0, next: n1}

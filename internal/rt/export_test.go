@@ -1,9 +1,6 @@
 package rt
 
-import (
-	"facile/internal/faults"
-	"facile/internal/lang/ir"
-)
+import "facile/internal/faults"
 
 // Hooks into machine internals for the external rt_test package.
 
@@ -57,19 +54,3 @@ func InjectNext(m *Machine, inj faults.Injection) bool {
 // ReplayedNodes returns how many action nodes the last replay completed
 // before it ended or faulted.
 func ReplayedNodes(m *Machine) uint64 { return m.nodes }
-
-// CountCompiledForks appends a counting closure to the compiled chain of
-// every fork block (one ending in a dynamic-result test), so the returned
-// counter records each compiled execution of a fork node.
-func CountCompiledForks(m *Machine) *uint64 {
-	var count uint64
-	for bi, blk := range m.p.Blocks {
-		switch blk.DynTerm {
-		case ir.DTBr, ir.DTSetArg, ir.DTPin:
-			if bc := &m.code[bi]; bc.ok {
-				bc.fns = append(bc.fns, func(*Machine, []int64) { count++ })
-			}
-		}
-	}
-	return &count
-}

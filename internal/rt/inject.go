@@ -21,9 +21,9 @@ func spineNext(n *node) *node {
 }
 
 func (m *Machine) injectFault(e *centry, inj faults.Injection) {
-	// Any mutation of the recorded chain invalidates the derived compiled
-	// state: bump the entry's version so stale superinstructions are
-	// discarded and the corruption is re-validated on the next replay.
+	// Any mutation of the recorded chain invalidates the derived replay
+	// state: bump the entry's version so stale fused runs are discarded
+	// and the corruption is re-validated on the next replay.
 	e.cver++
 	ij := m.opt.Inject
 	switch inj {

@@ -5,7 +5,6 @@ import (
 
 	"facile/internal/faults"
 	"facile/internal/lang/ir"
-	"facile/internal/lang/token"
 	"facile/internal/obs"
 )
 
@@ -48,12 +47,6 @@ type Options struct {
 	// simulator (0 = default 1<<20). It catches cycles in a corrupted
 	// action graph.
 	MaxReplayNodes uint64
-
-	// ReplayInterp selects the bytecode-at-a-time replay interpreter
-	// instead of the compiled closure-chain substrate (see compile.go).
-	// The two paths are bit-identical; the interpreter remains as an
-	// escape hatch and as the differential-testing reference.
-	ReplayInterp bool
 
 	// Obs, when non-nil, receives the memoization lifecycle and a sampled
 	// time series of cache occupancy and slow-vs-fast operation split.
@@ -119,23 +112,17 @@ type Machine struct {
 	scState   uint64    // self-check sampling PRNG state
 	lastFault *faults.Fault
 
-	// Compiled replay substrate (see compile.go). compiled mirrors
-	// !opt.ReplayInterp; code holds each block's precompiled dynamic
-	// segment.
-	compiled bool
-	code     []blockCode
-
-	// slow is the slow simulator's decoded program (see slow.go).
+	// slow is the decoded program both simulators run (see slow.go).
 	slow slowProgram
 
 	obs     *obs.Recorder
 	sampler *obs.Sampler
 
 	// Registry metrics: per-step replay-length distribution (parity with
-	// fastsim's replay_actions_per_step) and compiled-substrate telemetry.
+	// fastsim's replay_actions_per_step) and fused-run telemetry.
 	hStepNodes  *obs.Histogram
-	cFusedRuns  *obs.Counter // superinstructions built (lazily, per head node)
-	cFusedDisp  *obs.Counter // superinstruction dispatches during replay
+	cFusedRuns  *obs.Counter // fused runs built (lazily, per head node)
+	cFusedDisp  *obs.Counter // fused-run dispatches during replay
 	cFusedNodes *obs.Counter // action nodes covered by fused dispatches
 
 	stats Stats
@@ -157,37 +144,25 @@ func New(p *ir.Program, text TextSource, opt Options) *Machine {
 		globals: make([]int64, len(p.Globals)),
 		arrays:  make([][]int64, len(p.Arrays)),
 		queuesG: make([]*Queue, len(p.QueuesG)),
-		vregs:   make([]int64, p.NumVReg+1), // +1: see decodeProgram
 		externs: make([]Extern, len(p.Externs)),
 		ac:      newACache(opt.CacheCapBytes, opt.Obs),
 		obs:     opt.Obs,
+		slow:    decodeProgram(p),
 	}
-	m.compiled = !opt.ReplayInterp
-	m.code = compileProgram(p)
-	m.slow = decodeProgram(p)
-	// rt.compiled_blocks counts every block with a compiled closure chain —
-	// pure-flow, fork and step-end alike. The rt.fusion_compiled_* pair
-	// counts only the plan-fusable ones, the blocks a superinstruction may
-	// contain, so it compares like for like with rt.fusion_predicted_*.
-	var nCompiled, fusBlocks, fusOps uint64
-	pl := p.Replay
-	for bi, blk := range p.Blocks {
-		if !m.code[bi].ok || len(blk.Dyn) == 0 {
-			continue
-		}
-		nCompiled++
-		if pl.Fusable(bi) {
-			fusBlocks++
-			fusOps += uint64(len(blk.Dyn))
-		}
-	}
+	m.vregs = make([]int64, int(m.slow.constBase)+len(m.slow.consts))
+	copy(m.vregs[m.slow.constBase:], m.slow.consts)
 	reg := opt.Obs.Registry()
-	reg.Counter("rt.compiled_blocks").Add(nCompiled)
-	if pl != nil {
-		// Predicted-vs-achieved fusion coverage: what the static plan
-		// proved fusable against what the closure builder actually
-		// compiled. The pairs agree unless the trusted compile's
-		// placeholder-count guard tripped (a plan/engine disagreement).
+	if pl := p.Replay; pl != nil {
+		// Predicted-vs-achieved fusion coverage: what the static plan calls
+		// fusable against the blocks a fused run may include, the pure-flow
+		// blocks with a dynamic segment.
+		var fusBlocks, fusOps uint64
+		for _, blk := range p.Blocks {
+			if len(blk.Dyn) > 0 && blk.DynTerm == ir.DTNone {
+				fusBlocks++
+				fusOps += uint64(len(blk.Dyn))
+			}
+		}
 		reg.Counter("rt.fusion_predicted_blocks").Add(uint64(pl.FusableBlocks))
 		reg.Counter("rt.fusion_compiled_blocks").Add(fusBlocks)
 		reg.Counter("rt.fusion_predicted_ops").Add(uint64(pl.FusableOps))
@@ -547,7 +522,8 @@ func b2i(v int64) int64 {
 }
 
 // appendPh appends the current values of di's run-time static placeholder
-// operands, in the order the fast simulator reads them.
+// operands: A, B, then Args, the order in which decodeSegments numbers the
+// placeholder window.
 func appendPh(data []int64, di *ir.DynInst, vregs []int64) []int64 {
 	if di.A.Kind == ir.SrcPh {
 		data = append(data, vregs[di.A.VReg])
@@ -568,34 +544,6 @@ func (m *Machine) queue(qid int32) *Queue {
 		return m.queuesG[qid]
 	}
 	return m.argQ[^qid]
-}
-
-func evalUn(sub uint8, a int64) int64 {
-	switch token.Kind(sub) {
-	case token.MINUS:
-		return -a
-	case token.TILDE:
-		return ^a
-	case token.NOT:
-		if a == 0 {
-			return 1
-		}
-		return 0
-	}
-	// Unknown sub-op: a compiler bug, but this is reachable from the replay
-	// fast path, so produce a value rather than panicking.
-	return 0
-}
-
-func extend(a int64, bits int64, signed bool) int64 {
-	if bits >= 64 {
-		return a
-	}
-	shift := uint(64 - bits)
-	if signed {
-		return a << shift >> shift
-	}
-	return int64(uint64(a) << shift >> shift)
 }
 
 // nextKey returns the key of the next step to run. A memoizing machine

@@ -10,7 +10,10 @@ import (
 	"facile/internal/obs"
 )
 
-// This file is the fast/residual simulator and its recovery paths.
+// This file is the fast/residual simulator and its recovery paths. It runs
+// each recorded node's replay segment (see slow.go) with runDyn, one node
+// at a time or, for straight-line runs of pure-flow nodes, as one fused
+// run (compile.go).
 //
 // Recorded state is checked where it could have gone bad, not every time
 // it is used:
@@ -18,10 +21,9 @@ import (
 //   - Per node, every replay checks what a corrupt chain could break before
 //     running the block: the link is non-nil, the node count is under the
 //     watchdog, the block ID is in range, the placeholder count matches the
-//     block, and every extern the block calls is registered. A block that
-//     passes runs its compiled closure chain (compile.go) when it has one,
-//     fork and step-end blocks included; execDyn interprets only blocks
-//     whose layout is unproven and every block under -replay interp.
+//     block, and every extern the block calls is registered. Only then does
+//     the node's data fill the placeholder window, so it always fits. A
+//     fused run holds only nodes that passed the same checks.
 //   - A step-end node's successor key is vetted by validKey once per
 //     owning entry version (node.keyVer against centry.keyMark). Untrusted
 //     bytes enter only through warm load (LoadWarmCache builds fresh,
@@ -59,39 +61,36 @@ func (m *Machine) replayFrom(e *centry, maxSteps uint64) error {
 			m.fault(faults.BrokenChain, "nil action link before end of step")
 			return m.degradeStep(e)
 		}
-		if m.compiled {
-			// Compiled fast path: execute the superinstruction headed at n —
-			// a pre-validated straight-line run of DTNone nodes — as one
-			// fused call sequence. Built lazily per head node and discarded
-			// whenever the entry's cver moves (injection, invalidation).
-			fr := n.fused
-			if fr == nil || n.fusedVer != e.cver {
-				fr = m.buildFused(n)
-				n.fused = fr
-				n.fusedVer = e.cver
-				if len(fr.steps) > 0 {
-					m.cFusedRuns.Inc()
-				}
+		// Run the fused run headed at n — a pre-validated straight-line run
+		// of DTNone nodes — in one go. It is built lazily per head node and
+		// discarded whenever the entry's cver moves (injection,
+		// invalidation).
+		fr := n.fused
+		if fr == nil || n.fusedVer != e.cver {
+			fr = m.buildFused(n)
+			n.fused = fr
+			n.fusedVer = e.cver
+			if len(fr.steps) > 0 {
+				m.cFusedRuns.Inc()
 			}
-			if k := uint64(len(fr.steps)); k > 0 && m.nodes+k <= m.opt.MaxReplayNodes {
-				// The bound keeps the watchdog exact: the interpreted loop
-				// executes a node only while m.nodes < MaxReplayNodes, so a
-				// run is dispatched only if its last node would still pass
-				// that check; otherwise the nodes replay interpreted and the
-				// watchdog trips at the identical count.
-				for i := range fr.steps {
-					st := &fr.steps[i]
-					for _, fn := range st.fns {
-						fn(m, st.data)
-					}
-				}
-				m.stats.FastOps += fr.ops
-				m.nodes += k
-				m.cFusedDisp.Inc()
-				m.cFusedNodes.Add(k)
-				n = fr.end
-				continue
+		}
+		if k := uint64(len(fr.steps)); k > 0 && m.nodes+k <= m.opt.MaxReplayNodes {
+			// The bound keeps the watchdog exact: the per-node path runs a
+			// node only while m.nodes < MaxReplayNodes, so a run is
+			// dispatched only if its last node would still pass that check;
+			// otherwise its nodes replay one at a time and the watchdog
+			// trips at the identical count.
+			for i := range fr.steps {
+				st := &fr.steps[i]
+				copy(m.vregs[m.slow.window:], st.data)
+				m.runDyn(st.seg)
 			}
+			m.stats.FastOps += fr.ops
+			m.nodes += k
+			m.cFusedDisp.Inc()
+			m.cFusedNodes.Add(k)
+			n = fr.end
+			continue
 		}
 		if m.nodes >= m.opt.MaxReplayNodes {
 			// A cycle in a corrupted graph, or a runaway step.
@@ -119,18 +118,8 @@ func (m *Machine) replayFrom(e *centry, maxSteps uint64) error {
 				return m.degradeStep(e)
 			}
 		}
-		if bc := &m.code[n.blockID]; m.compiled && bc.ok {
-			// The checks above are exactly the ones buildFused applies, so
-			// a compiled block reads n.data without re-validating it.
-			for _, fn := range bc.fns {
-				fn(m, n.data)
-			}
-		} else {
-			ph := 0
-			for i := range blk.Dyn {
-				m.execDyn(&blk.Dyn[i], n.data, &ph)
-			}
-		}
+		copy(m.vregs[m.slow.window:], n.data)
+		m.runDyn(m.slow.dyn[n.blockID])
 		m.stats.FastOps += uint64(len(blk.Dyn))
 		switch blk.DynTerm {
 		case ir.DTNone:
@@ -318,103 +307,128 @@ func (m *Machine) degradeLost(e *centry, detail string) error {
 	return m.runStepSlow(nil, nil)
 }
 
-// execDyn executes one dynamic instruction of the fast simulator, reading
-// operands from dynamic vregs, recorded placeholders, or constants. Every
-// access is guarded: recorded data is untrusted, and replay must degrade,
-// not panic.
-func (m *Machine) execDyn(di *ir.DynInst, data []int64, ph *int) {
-	rd := func(s ir.Src) int64 {
-		switch s.Kind {
-		case ir.SrcVReg:
-			return m.vregs[s.VReg]
-		case ir.SrcPh:
-			if *ph >= len(data) {
-				return 0
+// runDyn runs the replay segment that starts at record pc, up to its sEnd.
+// Its operation arms are the slow loop's, record for record
+// (TestDecodedOpsMatchReference keeps the two in agreement); the caller
+// has filled the placeholder window.
+func (m *Machine) runDyn(pc int32) {
+	vr := m.vregs
+	ops := m.slow.ops
+	for {
+		op := &ops[pc]
+		pc++
+		switch op.code {
+		case sEnd:
+			return
+		case sConst:
+			vr[op.d] = op.imm
+		case sMov:
+			vr[op.d] = vr[op.a]
+		case sAdd:
+			vr[op.d] = vr[op.a] + vr[op.b]
+		case sSub:
+			vr[op.d] = vr[op.a] - vr[op.b]
+		case sMul:
+			vr[op.d] = vr[op.a] * vr[op.b]
+		case sDiv:
+			if y := vr[op.b]; y != 0 {
+				vr[op.d] = vr[op.a] / y
+			} else {
+				vr[op.d] = 0
 			}
-			v := data[*ph]
-			*ph++
-			return v
-		case ir.SrcConst:
-			return s.Const
-		}
-		return 0
-	}
-	switch di.Op {
-	case ir.Mov:
-		m.vregs[di.D] = rd(di.A)
-	case ir.Bin:
-		a := rd(di.A)
-		b := rd(di.B)
-		m.vregs[di.D] = types.EvalBinary(token.Kind(di.Sub), a, b)
-	case ir.Un:
-		m.vregs[di.D] = evalUn(di.Sub, rd(di.A))
-	case ir.Ext:
-		m.vregs[di.D] = extend(rd(di.A), di.Imm, di.Sub == 1)
-	case ir.LoadG:
-		m.vregs[di.D] = m.globals[di.Imm]
-	case ir.StoreG:
-		m.globals[di.Imm] = rd(di.A)
-	case ir.LoadA:
-		arr := m.arrays[di.Imm]
-		i := rd(di.A)
-		if i >= 0 && i < int64(len(arr)) {
-			m.vregs[di.D] = arr[i]
-		} else {
-			m.vregs[di.D] = 0
-		}
-	case ir.StoreA:
-		arr := m.arrays[di.Imm]
-		i := rd(di.A)
-		val := rd(di.B)
-		if i >= 0 && i < int64(len(arr)) {
-			arr[i] = val
-		}
-	case ir.Fetch:
-		m.vregs[di.D] = int64(m.text.FetchWord(uint64(rd(di.A))))
-	case ir.QOp:
-		// only dynamic (global) queues reach the fast simulator
-		q := m.queue(di.QID)
-		var res int64
-		switch di.Sub {
-		case ir.QSize:
-			res = int64(q.Size())
-		case ir.QPush:
-			vals := m.scratch[:len(di.Args)]
-			for i, a := range di.Args {
-				vals[i] = rd(a)
+		case sRem:
+			if y := vr[op.b]; y != 0 {
+				vr[op.d] = vr[op.a] % y
+			} else {
+				vr[op.d] = 0
 			}
-			if len(vals) == q.Width() {
-				q.Push(vals)
+		case sAnd:
+			vr[op.d] = vr[op.a] & vr[op.b]
+		case sOr:
+			vr[op.d] = vr[op.a] | vr[op.b]
+		case sXor:
+			vr[op.d] = vr[op.a] ^ vr[op.b]
+		case sShl:
+			vr[op.d] = vr[op.a] << (uint64(vr[op.b]) & 63)
+		case sShr:
+			vr[op.d] = vr[op.a] >> (uint64(vr[op.b]) & 63)
+		case sEq:
+			vr[op.d] = bit(vr[op.a] == vr[op.b])
+		case sNe:
+			vr[op.d] = bit(vr[op.a] != vr[op.b])
+		case sLt:
+			vr[op.d] = bit(vr[op.a] < vr[op.b])
+		case sLe:
+			vr[op.d] = bit(vr[op.a] <= vr[op.b])
+		case sGt:
+			vr[op.d] = bit(vr[op.a] > vr[op.b])
+		case sGe:
+			vr[op.d] = bit(vr[op.a] >= vr[op.b])
+		case sLAnd:
+			vr[op.d] = bit(vr[op.a] != 0 && vr[op.b] != 0)
+		case sLOr:
+			vr[op.d] = bit(vr[op.a] != 0 || vr[op.b] != 0)
+		case sBin:
+			vr[op.d] = types.EvalBinary(token.Kind(op.imm), vr[op.a], vr[op.b])
+		case sNeg:
+			vr[op.d] = -vr[op.a]
+		case sCpl:
+			vr[op.d] = ^vr[op.a]
+		case sNot:
+			vr[op.d] = bit(vr[op.a] == 0)
+		case sSext:
+			s := uint(op.imm)
+			vr[op.d] = vr[op.a] << s >> s
+		case sZext:
+			s := uint(op.imm)
+			vr[op.d] = int64(uint64(vr[op.a]) << s >> s)
+		case sLoadG:
+			vr[op.d] = m.globals[op.imm]
+		case sStoreG:
+			m.globals[op.imm] = vr[op.a]
+		case sLoadA:
+			arr := m.arrays[op.imm]
+			if j := vr[op.a]; j >= 0 && j < int64(len(arr)) {
+				vr[op.d] = arr[j]
+			} else {
+				vr[op.d] = 0
 			}
-		case ir.QPop:
-			res = q.Pop()
-		case ir.QGet:
-			res = q.Get(rd(di.A), rd(di.B))
-		case ir.QSet:
-			a, b := rd(di.A), rd(di.B)
-			q.Set(a, b, rd(di.Args[0]))
-		case ir.QFront:
-			res = q.Front(rd(di.A))
-		case ir.QFull:
-			if q.Full() {
-				res = 1
+		case sStoreA:
+			arr := m.arrays[op.imm]
+			if j := vr[op.a]; j >= 0 && j < int64(len(arr)) {
+				arr[j] = vr[op.b]
 			}
-		case ir.QClear:
-			q.Clear()
-		}
-		if di.D >= 0 {
-			m.vregs[di.D] = res
-		}
-	case ir.CallExt:
-		fn := m.externs[di.Imm]
-		args := m.scratch[:len(di.Args)]
-		for i, a := range di.Args {
-			args[i] = rd(a)
-		}
-		if fn != nil {
-			m.vregs[di.D] = fn(args)
-		} else {
-			m.vregs[di.D] = 0
+		case sFetch:
+			vr[op.d] = int64(m.text.FetchWord(uint64(vr[op.a])))
+		case sCall:
+			args := m.scratch[:op.b]
+			for j, r := range m.slow.args[op.a : op.a+op.b] {
+				args[j] = vr[r]
+			}
+			vr[op.d] = m.externs[op.imm](args)
+		case sQSize:
+			vr[op.d] = int64(m.queue(int32(op.imm)).Size())
+		case sQPush:
+			vals := m.scratch[:op.b]
+			for j, r := range m.slow.args[op.a : op.a+op.b] {
+				vals[j] = vr[r]
+			}
+			m.queue(int32(op.imm)).Push(vals)
+			vr[op.d] = 0
+		case sQPop:
+			vr[op.d] = m.queue(int32(op.imm)).Pop()
+		case sQGet:
+			vr[op.d] = m.queue(int32(op.imm)).Get(vr[op.a], vr[op.b])
+		case sQSet:
+			m.queue(int32(op.imm)).Set(vr[op.a], vr[op.b], vr[int32(op.imm>>32)])
+			vr[op.d] = 0
+		case sQFront:
+			vr[op.d] = m.queue(int32(op.imm)).Front(vr[op.a])
+		case sQFull:
+			vr[op.d] = bit(m.queue(int32(op.imm)).Full())
+		case sQClear:
+			m.queue(int32(op.imm)).Clear()
+			vr[op.d] = 0
 		}
 	}
 }

@@ -9,10 +9,12 @@ import (
 	"facile/internal/lang/types"
 )
 
-// This file is the slow/complete simulator. Machine construction decodes
-// the program once into one array of dense slowOp records, and runStepSlow
-// interprets it with one flat switch, jumping between blocks by record
-// index.
+// This file is the slow/complete simulator and the decoder both simulators
+// share. Machine construction decodes the program once into one array of
+// dense slowOp records: every block's IR instructions, which runStepSlow
+// interprets with one flat switch, jumping between blocks by record index,
+// and after them every block's dynamic segment, which the fast simulator
+// runs (replay.go).
 //
 // The decoded form folds into a record's code what the interpreter would
 // otherwise branch on per instruction: the ir.Op, the operator of Bin and
@@ -35,8 +37,15 @@ import (
 // which charges the block's IR instructions to the step budget and
 // SlowInsts (records are not counted) and announces a dynamic block to the
 // sink, and closes with its terminator, whose targets are record indices.
-// The fast/residual simulator (replay.go, compile.go) is separate: it runs
-// dynamic segments, not this form.
+//
+// A replay segment is a block's ir.DynInst list decoded by the same decode
+// into operation records and ended by sEnd. Its operands are all vregs: a
+// dynamic operand is its own vreg; a placeholder is a slot of the
+// placeholder window, numbered in the order appendPh records placeholders,
+// which the replayer fills from the node's data before running the
+// segment; a constant is a vreg of the constant pool, set once when the
+// machine is built. The machine's vregs are therefore the program's, one
+// junk vreg (see decodeProgram), the window, then the pool.
 
 // slowCode is a decoded operation.
 type slowCode uint8
@@ -104,6 +113,7 @@ const (
 	sBr    // on a != 0
 	sBrDyn // on a != 0, a dynamic-result test
 	sRet
+	sEnd // a replay segment ends
 )
 
 // slowOp is one decoded record: 24 bytes.
@@ -124,13 +134,19 @@ var binCodes = map[token.Kind]slowCode{
 	token.LAND: sLAnd, token.LOR: sLOr,
 }
 
-// slowProgram is a program's decoded form: the records of every block, the
-// index of the entry block's sBlock record, and the argument lists of
-// CallExt and QPush, flattened.
+// slowProgram is a program's decoded form: the records of every block and
+// of every replay segment, the index of the entry block's sBlock record,
+// the argument lists of CallExt and QPush, flattened, the first record of
+// each block's replay segment, the first vreg of the placeholder window,
+// and the constant pool's values, held by the vregs from constBase on.
 type slowProgram struct {
-	ops   []slowOp
-	entry int
-	args  []int32
+	ops       []slowOp
+	entry     int
+	args      []int32
+	dyn       []int32
+	window    int32
+	constBase int32
+	consts    []int64
 }
 
 // decodeProgram decodes p. A QOp whose result is unused (d < 0) writes to
@@ -192,7 +208,69 @@ func decodeProgram(p *ir.Program) slowProgram {
 		}
 	}
 	sp.entry = int(start[p.Entry])
+	sp.decodeSegments(p, junk)
 	return sp
+}
+
+// decodeSegments appends every block's replay segment. The window is as
+// wide as the most placeholders any block declares (NPh) or holds, so a
+// node whose data passed the replayer's placeholder-count check fits it.
+// An operand that is absent (SrcNone) reads the constant 0, as it did in
+// the replay interpreter.
+func (sp *slowProgram) decodeSegments(p *ir.Program, junk int32) {
+	width := 0
+	for _, blk := range p.Blocks {
+		n := 0
+		for i := range blk.Dyn {
+			di := &blk.Dyn[i]
+			for _, s := range di.Args {
+				n += int(bit(s.Kind == ir.SrcPh))
+			}
+			n += int(bit(di.A.Kind == ir.SrcPh) + bit(di.B.Kind == ir.SrcPh))
+		}
+		width = max(width, n, blk.NPh)
+	}
+	sp.window = junk + 1
+	sp.constBase = sp.window + int32(width)
+	pool := map[int64]int32{}
+	var ph int32
+	vreg := func(s ir.Src) int32 {
+		switch s.Kind {
+		case ir.SrcVReg:
+			return s.VReg
+		case ir.SrcPh:
+			ph++
+			return sp.window + ph - 1
+		}
+		c := int64(0)
+		if s.Kind == ir.SrcConst {
+			c = s.Const
+		}
+		r, ok := pool[c]
+		if !ok {
+			r = sp.constBase + int32(len(sp.consts))
+			pool[c] = r
+			sp.consts = append(sp.consts, c)
+		}
+		return r
+	}
+	sp.dyn = make([]int32, len(p.Blocks))
+	for bi, blk := range p.Blocks {
+		sp.dyn[bi] = int32(len(sp.ops))
+		ph = 0
+		for i := range blk.Dyn {
+			di := &blk.Dyn[i]
+			// Operands map in appendPh's order: A, B, then Args.
+			in := ir.Inst{Op: di.Op, Sub: di.Sub, D: di.D, Imm: di.Imm, QID: di.QID}
+			in.A = vreg(di.A)
+			in.B = vreg(di.B)
+			for _, a := range di.Args {
+				in.Args = append(in.Args, vreg(a))
+			}
+			sp.ops = append(sp.ops, sp.decode(&in, junk))
+		}
+		sp.ops = append(sp.ops, slowOp{code: sEnd})
+	}
 }
 
 // decode lowers one instruction's operation, ignoring its binding time.
@@ -222,7 +300,7 @@ func (sp *slowProgram) decode(in *ir.Inst, junk int32) slowOp {
 		case token.NOT:
 			op.code = sNot
 		default:
-			op.code, op.imm = sConst, 0 // evalUn's result for an unknown operator
+			op.code, op.imm = sConst, 0 // an unknown operator's result
 		}
 	case ir.Ext:
 		switch {

@@ -38,19 +38,6 @@ const (
 	EngineFacOOO     = "fac-ooo"
 )
 
-// Replay-mode names accepted by Config.Replay. Compiled is the default:
-// the memoizing engines replay recorded actions through the specialized
-// closure-chain substrate (threaded dispatch + superinstruction fusion);
-// interp selects the action-at-a-time interpreter, kept as an escape hatch
-// and as the differential-testing reference (the two are bit-identical).
-const (
-	ReplayCompiled = "compiled"
-	ReplayInterp   = "interp"
-)
-
-// ReplayModes lists the valid replay-mode names in display order.
-func ReplayModes() []string { return []string{ReplayCompiled, ReplayInterp} }
-
 // Engines lists the valid engine names in display order.
 func Engines() []string {
 	return []string{EngineFunc, EngineOOO, EngineFastsim,
@@ -75,11 +62,6 @@ type Config struct {
 	CacheCapBytes uint64  // action cache cap (0 = unlimited)
 	SelfCheck     float64 // fraction of replayable steps re-verified slow
 	Inject        *faults.Injector
-
-	// Replay selects the memoizing engines' fast-path dispatch:
-	// ReplayCompiled (also the "" default) or ReplayInterp. Engines
-	// without an action cache ignore it.
-	Replay string
 
 	// Uarch overrides the simulated micro-architecture for the timing
 	// engines (nil = uarch.Default()). New validates the geometry and
@@ -189,10 +171,9 @@ type Runner interface {
 	LastFault() *faults.Fault
 }
 
-// FusionFacts returns the static fusion facts proven for a fac-* engine's
-// bundled description: predicted coverage, barrier count, and layout
-// verdicts — the same table the replay engine consults at machine-build
-// time (Program.Replay). Nil for engines without a compiled description.
+// FusionFacts returns the static fusion facts for a fac-* engine's bundled
+// description: predicted coverage and barrier count, from the same table
+// (Program.Replay) whose fusable blocks the replay engine may fuse. Nil for engines without a compiled description.
 // The facts come from the cached preflight vet run, so repeated calls are
 // cheap.
 func FusionFacts(engine string) *vet.FusionSummary {
@@ -210,23 +191,8 @@ func FusionFacts(engine string) *vet.FusionSummary {
 	return nil
 }
 
-// replayInterp maps cfg.Replay onto the engines' boolean switch.
-func (c Config) replayInterp() (bool, error) {
-	switch c.Replay {
-	case "", ReplayCompiled:
-		return false, nil
-	case ReplayInterp:
-		return true, nil
-	}
-	return false, fmt.Errorf("unknown replay mode %q (valid: %v)", c.Replay, ReplayModes())
-}
-
 // New builds a Runner for cfg.Engine over prog.
 func New(prog *loader.Program, cfg Config) (Runner, error) {
-	interp, err := cfg.replayInterp()
-	if err != nil {
-		return nil, err
-	}
 	uc := cfg.EffectiveUarch()
 	if cfg.Uarch != nil {
 		switch cfg.Engine {
@@ -252,7 +218,6 @@ func New(prog *loader.Program, cfg Config) (Runner, error) {
 			CacheCapBytes: cfg.CacheCapBytes,
 			SelfCheck:     cfg.SelfCheck,
 			Inject:        cfg.Inject,
-			ReplayInterp:  interp,
 			Obs:           cfg.Obs,
 			SampleEvery:   cfg.SampleEvery,
 		}
@@ -268,7 +233,6 @@ func New(prog *loader.Program, cfg Config) (Runner, error) {
 			CacheCapBytes: cfg.CacheCapBytes,
 			SelfCheck:     cfg.SelfCheck,
 			Inject:        cfg.Inject,
-			ReplayInterp:  interp,
 			Obs:           cfg.Obs,
 			SampleEvery:   cfg.SampleEvery,
 			Uarch:         cfg.Uarch,
