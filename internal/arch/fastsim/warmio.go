@@ -46,32 +46,56 @@ func (wc *WarmCache) Save(w *snapshot.Writer) {
 	}
 }
 
+// saveAction writes the tree headed by a in pre-order: each action's
+// fields, then each fork's value and subtree, then its successor's chain,
+// with false for every nil link. It walks next links in a loop and keeps
+// the actions whose forks are still being written on an explicit stack, so
+// neither a long chain nor deep fork nesting grows the goroutine stack.
 func saveAction(w *snapshot.Writer, a *action) {
-	if a == nil {
-		w.Bool(false)
-		return
+	var open []walkFrame
+	for {
+		if a == nil {
+			w.Bool(false)
+		} else {
+			w.Bool(true)
+			w.U8(a.kind)
+			w.U8(a.flags)
+			w.U8(uint8(a.cls))
+			w.U64(uint64(a.slot))
+			w.U64(uint64(a.dcyc))
+			w.U64(a.pc)
+			w.U8(uint8(a.in.Op))
+			w.U8(a.in.Rd)
+			w.U8(a.in.Rs1)
+			w.U8(a.in.Rs2)
+			w.I64(a.in.Imm)
+			w.Bool(a.in.HasImm)
+			w.U64(uint64(a.in.Raw))
+			w.String(a.nextKey)
+			w.U64(uint64(len(a.forks)))
+			open = append(open, walkFrame{a: a})
+		}
+		if len(open) == 0 {
+			return
+		}
+		f := &open[len(open)-1]
+		if f.i < len(f.a.forks) {
+			w.U64(f.a.forks[f.i].val)
+			a = f.a.forks[f.i].next
+			f.i++
+		} else {
+			a = f.a.next
+			open = open[:len(open)-1]
+		}
 	}
-	w.Bool(true)
-	w.U8(a.kind)
-	w.U8(a.flags)
-	w.U8(uint8(a.cls))
-	w.U64(uint64(a.slot))
-	w.U64(uint64(a.dcyc))
-	w.U64(a.pc)
-	w.U8(uint8(a.in.Op))
-	w.U8(a.in.Rd)
-	w.U8(a.in.Rs1)
-	w.U8(a.in.Rs2)
-	w.I64(a.in.Imm)
-	w.Bool(a.in.HasImm)
-	w.U64(uint64(a.in.Raw))
-	w.String(a.nextKey)
-	w.U64(uint64(len(a.forks)))
-	for i := range a.forks {
-		w.U64(a.forks[i].val)
-		saveAction(w, a.forks[i].next)
-	}
-	saveAction(w, a.next)
+}
+
+// walkFrame is an action of an iterative tree walk whose forks are not all
+// done: i counts the forks saveAction has written, or the forks loadAction
+// has still to read.
+type walkFrame struct {
+	a *action
+	i int
 }
 
 // LoadWarmCache reconstructs a detached cache from its serialized form.
@@ -123,47 +147,55 @@ func LoadWarmCache(r *snapshot.Reader) (*WarmCache, error) {
 	return wc, nil
 }
 
+// loadAction reads a tree written by saveAction, with the same explicit
+// stack in place of recursion.
 func loadAction(r *snapshot.Reader) (*action, error) {
-	if !r.Bool() {
-		return nil, r.Err()
-	}
-	a := &action{}
-	a.kind = r.U8()
-	if r.Err() == nil && a.kind > aEnd {
-		return nil, fmt.Errorf("fastsim: warm cache action kind %d out of range", a.kind)
-	}
-	a.flags = r.U8()
-	a.cls = isa.Class(r.U8())
-	a.slot = uint16(r.U64())
-	a.dcyc = uint32(r.U64())
-	a.pc = r.U64()
-	a.in.Op = isa.Opcode(r.U8())
-	a.in.Rd = r.U8()
-	a.in.Rs1 = r.U8()
-	a.in.Rs2 = r.U8()
-	a.in.Imm = r.I64()
-	a.in.HasImm = r.Bool()
-	a.in.Raw = uint32(r.U64())
-	a.nextKey = r.String()
-	nf := r.U64()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if nf > maxWarmEntries {
-		return nil, fmt.Errorf("fastsim: warm cache action claims %d forks", nf)
-	}
-	for i := uint64(0); i < nf; i++ {
-		val := r.U64()
-		next, err := loadAction(r)
-		if err != nil {
-			return nil, err
+	var head *action
+	slot := &head // where the next action read is linked in
+	var open []walkFrame
+	for {
+		if r.Bool() {
+			a := &action{}
+			a.kind = r.U8()
+			if r.Err() == nil && a.kind > aEnd {
+				return nil, fmt.Errorf("fastsim: warm cache action kind %d out of range", a.kind)
+			}
+			a.flags = r.U8()
+			a.cls = isa.Class(r.U8())
+			a.slot = uint16(r.U64())
+			a.dcyc = uint32(r.U64())
+			a.pc = r.U64()
+			a.in.Op = isa.Opcode(r.U8())
+			a.in.Rd = r.U8()
+			a.in.Rs1 = r.U8()
+			a.in.Rs2 = r.U8()
+			a.in.Imm = r.I64()
+			a.in.HasImm = r.Bool()
+			a.in.Raw = uint32(r.U64())
+			a.nextKey = r.String()
+			nf := r.U64()
+			if r.Err() != nil {
+				return nil, r.Err()
+			}
+			if nf > maxWarmEntries {
+				return nil, fmt.Errorf("fastsim: warm cache action claims %d forks", nf)
+			}
+			*slot = a
+			open = append(open, walkFrame{a: a, i: int(nf)})
+		} else if r.Err() != nil {
+			return nil, r.Err()
 		}
-		a.forks = append(a.forks, fork{val: val, next: next})
+		if len(open) == 0 {
+			return head, nil
+		}
+		f := &open[len(open)-1]
+		if f.i > 0 {
+			f.i--
+			f.a.forks = append(f.a.forks, fork{val: r.U64()})
+			slot = &f.a.forks[len(f.a.forks)-1].next
+		} else {
+			slot = &f.a.next
+			open = open[:len(open)-1]
+		}
 	}
-	next, err := loadAction(r)
-	if err != nil {
-		return nil, err
-	}
-	a.next = next
-	return a, r.Err()
 }

@@ -2,6 +2,7 @@ package fastsim
 
 import (
 	"bytes"
+	"runtime/debug"
 	"testing"
 
 	"facile/internal/arch/uarch"
@@ -118,4 +119,77 @@ func TestLoadWarmCacheRejectsCorruption(t *testing.T) {
 			t.Fatal("cooked byte accounting loaded")
 		}
 	})
+}
+
+// TestWarmLoadDeepStructures: a warm cache can arrive from outside the
+// process, so its shape is untrusted. A 1 M-action chain and a 1 M-deep
+// fork nesting must each load and save back to the same bytes, or be
+// refused, within a 64 MiB goroutine stack. A low GC target keeps the
+// test's peak memory near the 1 M actions it holds.
+func TestWarmLoadDeepStructures(t *testing.T) {
+	if raceEnabled {
+		t.Skip("one goroutine and a million actions: nothing for the race detector to find")
+	}
+	defer debug.SetMaxStack(debug.SetMaxStack(64 << 20))
+	defer debug.SetGCPercent(debug.SetGCPercent(10))
+	const n = 1 << 20
+	act := func(w *snapshot.Writer, forks uint64) {
+		w.Bool(true)
+		for i := 0; i < 3; i++ {
+			w.U8(0) // kind, flags, class
+		}
+		for i := 0; i < 3; i++ {
+			w.U64(0) // slot, dcyc, pc
+		}
+		for i := 0; i < 4; i++ {
+			w.U8(0) // op, rd, rs1, rs2
+		}
+		w.I64(0)
+		w.Bool(false)
+		w.U64(0)
+		w.String("")
+		w.U64(forks)
+	}
+	for _, tc := range []struct {
+		name string
+		tree func(w *snapshot.Writer)
+	}{
+		{"chain", func(w *snapshot.Writer) {
+			for i := 0; i < n; i++ {
+				act(w, 0)
+			}
+			w.Bool(false)
+		}},
+		{"fork-nesting", func(w *snapshot.Writer) {
+			for i := 0; i < n; i++ {
+				act(w, 1)
+				w.U64(0) // fork value
+			}
+			for i := 0; i <= n; i++ {
+				w.Bool(false) // the innermost fork's subtree, then every next
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := snapshot.NewWriter()
+			w.U64(WarmFormatVersion)
+			w.U64(0) // gen
+			w.U64(0) // bytes
+			w.U64(1) // entries
+			w.String("k")
+			w.U64(0) // entry bytes
+			tc.tree(w)
+			in := w.Payload()
+			wc, err := LoadWarmCache(snapshot.NewReader(in))
+			if err != nil {
+				t.Logf("refused: %v", err)
+				return
+			}
+			out := snapshot.NewWriter()
+			wc.Save(out)
+			if !bytes.Equal(out.Payload(), in) {
+				t.Errorf("saved %d bytes, loaded %d; want the same bytes", len(out.Payload()), len(in))
+			}
+		})
+	}
 }

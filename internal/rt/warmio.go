@@ -40,21 +40,45 @@ func (wc *WarmCache) Save(w *snapshot.Writer) {
 	}
 }
 
+// saveNode writes the chain headed by n in pre-order: each node's fields,
+// then each fork's value and subtree, then its successor's chain, with
+// false for every nil link. It walks next links in a loop and keeps the
+// nodes whose forks are still being written on an explicit stack, so
+// neither a long chain nor deep fork nesting grows the goroutine stack.
 func saveNode(w *snapshot.Writer, n *node) {
-	if n == nil {
-		w.Bool(false)
-		return
+	var open []walkFrame
+	for {
+		if n == nil {
+			w.Bool(false)
+		} else {
+			w.Bool(true)
+			w.I64(int64(n.blockID))
+			w.I64s(n.data)
+			w.String(n.nextKey)
+			w.U64(uint64(len(n.forks)))
+			open = append(open, walkFrame{n: n})
+		}
+		if len(open) == 0 {
+			return
+		}
+		f := &open[len(open)-1]
+		if f.i < len(f.n.forks) {
+			w.I64(f.n.forks[f.i].val)
+			n = f.n.forks[f.i].next
+			f.i++
+		} else {
+			n = f.n.next
+			open = open[:len(open)-1]
+		}
 	}
-	w.Bool(true)
-	w.I64(int64(n.blockID))
-	w.I64s(n.data)
-	w.String(n.nextKey)
-	w.U64(uint64(len(n.forks)))
-	for i := range n.forks {
-		w.I64(n.forks[i].val)
-		saveNode(w, n.forks[i].next)
-	}
-	saveNode(w, n.next)
+}
+
+// walkFrame is a node of an iterative chain walk whose forks are not all
+// done: i counts the forks saveNode has written, or the forks loadNode has
+// still to read.
+type walkFrame struct {
+	n *node
+	i int
 }
 
 // LoadWarmCache reconstructs a detached cache from its serialized form.
@@ -104,33 +128,41 @@ func LoadWarmCache(r *snapshot.Reader) (*WarmCache, error) {
 	return wc, nil
 }
 
+// loadNode reads a chain written by saveNode, with the same explicit stack
+// in place of recursion.
 func loadNode(r *snapshot.Reader) (*node, error) {
-	if !r.Bool() {
-		return nil, r.Err()
-	}
-	n := &node{}
-	n.blockID = int32(r.I64())
-	n.data = r.I64s()
-	n.nextKey = r.String()
-	nf := r.U64()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if nf > maxWarmEntries {
-		return nil, fmt.Errorf("rt: warm cache node claims %d forks", nf)
-	}
-	for i := uint64(0); i < nf; i++ {
-		val := r.I64()
-		next, err := loadNode(r)
-		if err != nil {
-			return nil, err
+	var head *node
+	slot := &head // where the next node read is linked in
+	var open []walkFrame
+	for {
+		if r.Bool() {
+			n := &node{}
+			n.blockID = int32(r.I64())
+			n.data = r.I64s()
+			n.nextKey = r.String()
+			nf := r.U64()
+			if r.Err() != nil {
+				return nil, r.Err()
+			}
+			if nf > maxWarmEntries {
+				return nil, fmt.Errorf("rt: warm cache node claims %d forks", nf)
+			}
+			*slot = n
+			open = append(open, walkFrame{n: n, i: int(nf)})
+		} else if r.Err() != nil {
+			return nil, r.Err()
 		}
-		n.forks = append(n.forks, nfork{val: val, next: next})
+		if len(open) == 0 {
+			return head, nil
+		}
+		f := &open[len(open)-1]
+		if f.i > 0 {
+			f.i--
+			f.n.forks = append(f.n.forks, nfork{val: r.I64()})
+			slot = &f.n.forks[len(f.n.forks)-1].next
+		} else {
+			slot = &f.n.next
+			open = open[:len(open)-1]
+		}
 	}
-	next, err := loadNode(r)
-	if err != nil {
-		return nil, err
-	}
-	n.next = next
-	return n, r.Err()
 }

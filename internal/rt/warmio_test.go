@@ -1,7 +1,9 @@
 package rt_test
 
 import (
+	"bytes"
 	"reflect"
+	"runtime/debug"
 	"testing"
 
 	"facile/internal/core"
@@ -106,5 +108,68 @@ func TestLoadWarmCacheRejectsCorruption(t *testing.T) {
 	}
 	if _, err := rt.LoadWarmCache(snapshot.NewReader(good[:len(good)/2])); err == nil {
 		t.Fatal("truncated stream loaded")
+	}
+}
+
+// TestWarmLoadDeepStructures: a warm cache can arrive from outside the
+// process, so its shape is untrusted. A 1 M-node chain and a 1 M-deep fork
+// nesting must each load and save back to the same bytes, or be refused,
+// within a 64 MiB goroutine stack. A low GC target keeps the test's peak
+// memory near the 1 M nodes it holds.
+func TestWarmLoadDeepStructures(t *testing.T) {
+	if raceEnabled {
+		t.Skip("one goroutine and a million nodes: nothing for the race detector to find")
+	}
+	defer debug.SetMaxStack(debug.SetMaxStack(64 << 20))
+	defer debug.SetGCPercent(debug.SetGCPercent(10))
+	const n = 1 << 20
+	node := func(w *snapshot.Writer, forks uint64) {
+		w.Bool(true)
+		w.I64(0)    // block
+		w.I64s(nil) // placeholders
+		w.String("")
+		w.U64(forks)
+	}
+	for _, tc := range []struct {
+		name string
+		tree func(w *snapshot.Writer)
+	}{
+		{"chain", func(w *snapshot.Writer) {
+			for i := 0; i < n; i++ {
+				node(w, 0)
+			}
+			w.Bool(false)
+		}},
+		{"fork-nesting", func(w *snapshot.Writer) {
+			for i := 0; i < n; i++ {
+				node(w, 1)
+				w.I64(0) // fork value
+			}
+			for i := 0; i <= n; i++ {
+				w.Bool(false) // the innermost fork's subtree, then every next
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := snapshot.NewWriter()
+			w.U64(rt.WarmFormatVersion)
+			w.U64(0) // gen
+			w.U64(0) // bytes
+			w.U64(1) // entries
+			w.String("k")
+			w.U64(0) // entry bytes
+			tc.tree(w)
+			in := w.Payload()
+			wc, err := rt.LoadWarmCache(snapshot.NewReader(in))
+			if err != nil {
+				t.Logf("refused: %v", err)
+				return
+			}
+			out := snapshot.NewWriter()
+			wc.Save(out)
+			if !bytes.Equal(out.Payload(), in) {
+				t.Errorf("saved %d bytes, loaded %d; want the same bytes", len(out.Payload()), len(in))
+			}
+		})
 	}
 }
