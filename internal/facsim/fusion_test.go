@@ -1,6 +1,7 @@
 package facsim
 
 import (
+	"bytes"
 	"testing"
 
 	"facile/internal/isa/loader"
@@ -55,5 +56,43 @@ func TestPredictedFusionMatchesAchieved(t *testing.T) {
 				t.Errorf("fusable ops %d exceed dynamic ops %d", sum.Fusion.FusableOps, sum.Fusion.DynOps)
 			}
 		})
+	}
+}
+
+// TestStaticFactsPreserveReplayParity is the plan-era bit-identity spot
+// check: with the engine fusing the blocks the static table calls
+// fusable, a memoized run must produce the architectural results of a
+// run that interprets every step, and must actually dispatch fused runs.
+func TestStaticFactsPreserveReplayParity(t *testing.T) {
+	prog := asmOrDie(t, mixedWorkload)
+	run := func(memo bool) (Result, uint64) {
+		rec := obs.NewRecorder(obs.Config{})
+		in, err := NewInOrder(prog, Options{Memoize: memo, Obs: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := in.Run(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, rec.Registry().Counter("rt.fused_dispatches").Load()
+	}
+	resM, fused := run(true)
+	resP, _ := run(false)
+	if !bytes.Equal(resM.Output, resP.Output) {
+		t.Errorf("memoized output %q != slow-only output %q", resM.Output, resP.Output)
+	}
+	if resM.Exit != resP.Exit {
+		t.Errorf("memoized exit %d != slow-only exit %d", resM.Exit, resP.Exit)
+	}
+	if resM.Cycles != resP.Cycles || resM.Insts != resP.Insts {
+		t.Errorf("memoized (insts, cycles) (%d, %d) != slow-only (%d, %d)",
+			resM.Insts, resM.Cycles, resP.Insts, resP.Cycles)
+	}
+	if resM.Stats.Replays == 0 {
+		t.Error("memoized run replayed nothing")
+	}
+	if fused == 0 {
+		t.Error("memoized run never dispatched a fused run")
 	}
 }

@@ -136,7 +136,7 @@ func (c *acache) charge(e *centry, n uint64) {
 // entry would double-count. The generation moves either way so any
 // replay-cached link to e re-validates and misses.
 func (c *acache) invalidate(e *centry) {
-	e.cver++ // discard derived compiled state along with the entry
+	e.cver++ // discard derived replay state along with the entry
 	var refund uint64
 	if cur, ok := c.m[e.key]; ok && cur == e {
 		delete(c.m, e.key)

@@ -283,7 +283,7 @@ func CheckSegments(p *ir.Program, trials int, seed int64) (blocks int, diffs []s
 			dec.loadState(st)
 			ref.loadState(st)
 			dcalls, rcalls = dcalls[:0], rcalls[:0]
-			copy(dec.vregs[dec.slow.window:], st.data)
+			dec.fillWindow(st.data)
 			dec.runDyn(dec.slow.dyn[bi])
 			ph := 0
 			for i := range blk.Dyn {

@@ -82,7 +82,7 @@ func (m *Machine) replayFrom(e *centry, maxSteps uint64) error {
 			// trips at the identical count.
 			for i := range fr.steps {
 				st := &fr.steps[i]
-				copy(m.vregs[m.slow.window:], st.data)
+				m.fillWindow(st.data)
 				m.runDyn(st.seg)
 			}
 			m.stats.FastOps += fr.ops
@@ -118,7 +118,7 @@ func (m *Machine) replayFrom(e *centry, maxSteps uint64) error {
 				return m.degradeStep(e)
 			}
 		}
-		copy(m.vregs[m.slow.window:], n.data)
+		m.fillWindow(n.data)
 		m.runDyn(m.slow.dyn[n.blockID])
 		m.stats.FastOps += uint64(len(blk.Dyn))
 		switch blk.DynTerm {
@@ -305,6 +305,18 @@ func (m *Machine) degradeLost(e *centry, detail string) error {
 	m.ac.invalidate(e)
 	m.stats.DegradedSteps++
 	return m.runStepSlow(nil, nil)
+}
+
+// fillWindow copies a node's placeholder values into the placeholder
+// window. The caller has checked that data holds the block's NPh values,
+// which the window fits. It is a loop rather than copy because nodes carry
+// a few values each, fewer than a memmove call pays for.
+func (m *Machine) fillWindow(data []int64) {
+	w := m.vregs[m.slow.window:]
+	w = w[:len(data)]
+	for i, v := range data {
+		w[i] = v
+	}
 }
 
 // runDyn runs the replay segment that starts at record pc, up to its sEnd.

@@ -1,65 +1,57 @@
 package rt_test
 
 import (
-	"reflect"
 	"testing"
 
 	"facile/internal/faults"
+	"facile/internal/obs"
 	"facile/internal/rt"
 )
 
-// The compiled closure-chain replay substrate must be bit-identical to the
-// bytecode-at-a-time interpreter: same simulated results AND same fault /
-// miss / degradation counters, under clean runs, self-checking, a starved
-// replay watchdog (fused runs must trip at the identical node count), and
-// every injected corruption (faults mid-superinstruction must detect and
-// recover exactly as interpreted replay does). Fork blocks run their
-// compiled chains on the per-node path, so the compiled run must execute
-// some and the interpreted run none.
+// TestCompiledReplayMatchesInterp: replaying the segments decoded at
+// machine build — through fused runs and the per-node path — must be
+// observationally identical to interpreting every step on the slow
+// simulator: the same emitted sequence, globals and final step key, under
+// clean runs, self-checking, a starved replay watchdog (a fused run must
+// not carry replay past it), and every injected corruption. Each variant
+// must also exercise the path it names.
 func TestCompiledReplayMatchesInterp(t *testing.T) {
 	variants := []struct {
-		name string
-		opt  func() rt.Options
+		name  string
+		opt   func() rt.Options
+		check func(st rt.Stats, fused uint64) bool
 	}{
-		{"clean", func() rt.Options { return rt.Options{Memoize: true} }},
-		{"selfcheck", func() rt.Options { return rt.Options{Memoize: true, SelfCheck: 0.5} }},
-		{"watchdog-starved", func() rt.Options { return rt.Options{Memoize: true, MaxReplayNodes: 2} }},
+		{"clean", func() rt.Options { return rt.Options{Memoize: true} },
+			func(st rt.Stats, fused uint64) bool { return st.Replays > 0 && fused > 0 }},
+		{"selfcheck", func() rt.Options { return rt.Options{Memoize: true, SelfCheck: 0.5} },
+			func(st rt.Stats, _ uint64) bool { return st.Replays > 0 && st.SelfChecks > 0 }},
+		{"watchdog-starved", func() rt.Options { return rt.Options{Memoize: true, MaxReplayNodes: 2} },
+			func(st rt.Stats, _ uint64) bool { return st.WatchdogTrips > 0 }},
 		{"inject-all", func() rt.Options {
 			return rt.Options{Memoize: true, Inject: faults.NewInjector(7, 5,
 				faults.InjBreakChain, faults.InjFlipFork, faults.InjTruncate, faults.InjGenBump)}
-		}},
+		}, func(st rt.Stats, _ uint64) bool { return st.Replays > 0 && st.Faults > 0 }},
 	}
 	for _, w := range rtFaultWorkloads {
 		for _, v := range variants {
 			t.Run(w.name+"/"+v.name, func(t *testing.T) {
-				oi := v.opt()
-				oi.ReplayInterp = true
-				run := func(opt rt.Options) (*rt.Machine, []int64, uint64) {
-					m, out := newFaultWorkload(t, w.src, opt)
-					forks := rt.CountCompiledForks(m)
-					if err := m.Run(400); err != nil {
-						t.Fatalf("run: %v", err)
-					}
-					return m, *out, *forks
+				plain, outP := runFaultWorkload(t, w.src, rt.Options{})
+				opt := v.opt()
+				rec := obs.NewRecorder(obs.Config{})
+				opt.Obs = rec
+				memo, outM := runFaultWorkload(t, w.src, opt)
+				sameResults(t, plain, memo, outP, outM)
+				// Replay advances only the step key (main's arguments are
+				// restored from it by the next slow step), so the key is the
+				// state to compare.
+				kp, _ := plain.DebugState()
+				km, _ := memo.DebugState()
+				if km != kp {
+					t.Errorf("final step key %q, slow-only run %q", km, kp)
 				}
-				mi, outI, forksI := run(oi)
-				mc, outC, forksC := run(v.opt())
-				sameResults(t, mi, mc, outI, outC)
-				if forksI != 0 {
-					t.Errorf("interpreted replay ran %d compiled fork blocks", forksI)
-				}
-				if forksC == 0 {
-					t.Error("compiled replay never ran a compiled fork block")
-				}
-				si, sc := mi.Stats(), mc.Stats()
-				if !reflect.DeepEqual(si, sc) {
-					t.Errorf("stats diverge:\n  interp   %+v\n  compiled %+v", si, sc)
-				}
-				ki, ai := mi.DebugState()
-				kc, ac := mc.DebugState()
-				if ki != kc || !reflect.DeepEqual(ai, ac) {
-					t.Errorf("final step state diverges: interp (%q, %v) vs compiled (%q, %v)",
-						ki, ai, kc, ac)
+				st, fused := memo.Stats(), rec.Registry().Counter("rt.fused_dispatches").Load()
+				if !v.check(st, fused) {
+					t.Errorf("the run did not exercise %s replay: %d fused dispatches, %+v", v.name, fused, st)
 				}
 			})
 		}

@@ -215,8 +215,7 @@ func decodeProgram(p *ir.Program) slowProgram {
 // decodeSegments appends every block's replay segment. The window is as
 // wide as the most placeholders any block declares (NPh) or holds, so a
 // node whose data passed the replayer's placeholder-count check fits it.
-// An operand that is absent (SrcNone) reads the constant 0, as it did in
-// the replay interpreter.
+// An operand that is absent (SrcNone) reads the constant 0.
 func (sp *slowProgram) decodeSegments(p *ir.Program, junk int32) {
 	width := 0
 	for _, blk := range p.Blocks {

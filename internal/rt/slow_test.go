@@ -207,7 +207,7 @@ func TestPlaceholdersNumberedInAppendOrder(t *testing.T) {
 		data = appendPh(data, &blk.Dyn[i], m.vregs)
 	}
 	m.queuesG[0].data = []int64{7, 8}
-	copy(m.vregs[m.slow.window:], data)
+	m.fillWindow(data)
 	m.runDyn(m.slow.dyn[0])
 	if got := m.vregs[:3]; got[0] != 42 || got[1] != 111 || got[2] != 116 {
 		t.Errorf("vregs 0-2 = %v, want [42 111 116]", got)

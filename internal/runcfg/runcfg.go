@@ -173,7 +173,8 @@ type Runner interface {
 
 // FusionFacts returns the static fusion facts for a fac-* engine's bundled
 // description: predicted coverage and barrier count, from the same table
-// (Program.Replay) whose fusable blocks the replay engine may fuse. Nil for engines without a compiled description.
+// (Program.Replay) whose fusable blocks the replay engine may fuse. Nil
+// for engines without a compiled description.
 // The facts come from the cached preflight vet run, so repeated calls are
 // cheap.
 func FusionFacts(engine string) *vet.FusionSummary {
