@@ -150,8 +150,7 @@ type slowProgram struct {
 }
 
 // decodeProgram decodes p. A QOp whose result is unused (d < 0) writes to
-// vreg p.NumVReg, which no instruction reads: the machine allocates one
-// vreg more than the program declares.
+// the junk vreg p.NumVReg, which no instruction reads.
 func decodeProgram(p *ir.Program) slowProgram {
 	junk := int32(p.NumVReg)
 	var sp slowProgram
