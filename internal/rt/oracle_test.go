@@ -17,40 +17,31 @@ import (
 // from the same random and boundary inputs, and must leave the same vregs,
 // globals, arrays, queues and extern argument lists.
 func TestReplaySegmentsMatchReference(t *testing.T) {
-	progs := []struct {
-		name string
-		p    *ir.Program
-	}{{"hand-built", multiPhProgram()}}
-	for _, d := range []struct{ name, src string }{
-		{"func.fac", facile.FuncSim()},
-		{"inorder.fac", facile.InOrderSim()},
-		{"ooo.fac", facile.OOOSim()},
-	} {
-		sim, err := core.CompileSource(d.src, core.Options{})
+	names := []string{"hand-built", "func.fac", "inorder.fac", "ooo.fac"}
+	progs := []*ir.Program{multiPhProgram()}
+	for i, src := range []string{facile.FuncSim(), facile.InOrderSim(), facile.OOOSim()} {
+		sim, err := core.CompileSource(src, core.Options{})
 		if err != nil {
-			t.Fatalf("%s: %v", d.name, err)
+			t.Fatalf("%s: %v", names[i+1], err)
 		}
-		progs = append(progs, struct {
-			name string
-			p    *ir.Program
-		}{d.name, sim.Prog})
+		progs = append(progs, sim.Prog)
 	}
-	for i, pr := range progs {
-		t.Run(pr.name, func(t *testing.T) {
-			n, diffs := rt.CheckSegments(pr.p, 16, int64(i+1))
+	for i, p := range progs {
+		t.Run(names[i], func(t *testing.T) {
+			n, diffs := rt.CheckSegments(p, 16, int64(i+1))
 			for _, d := range diffs {
 				t.Error(d)
 			}
-			if n != len(pr.p.Blocks) {
-				t.Errorf("checked %d of %d blocks", n, len(pr.p.Blocks))
+			if n != len(p.Blocks) {
+				t.Errorf("checked %d of %d blocks", n, len(p.Blocks))
 			}
 			dyn := 0
-			for _, blk := range pr.p.Blocks {
+			for _, blk := range p.Blocks {
 				if len(blk.Dyn) > 0 {
 					dyn++
 				}
 			}
-			t.Logf("%s: %d blocks checked, %d with a dynamic segment", pr.name, n, dyn)
+			t.Logf("%s: %d blocks checked, %d with a dynamic segment", names[i], n, dyn)
 		})
 	}
 }
