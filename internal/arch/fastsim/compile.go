@@ -19,7 +19,7 @@ import (
 // summed over the whole run and charged once per dispatch.
 //
 // Only pure-flow actions fuse: aExec, aUpdate, and aShift advance along
-// a.next unconditionally and can never miss. Dynamic-result actions
+// a.Next unconditionally and can never miss. Dynamic-result actions
 // (aNextPC, aICache, aDCache, aPredict, aHalted) and step boundaries (aEnd)
 // terminate a run and are handled by the interpreted loop, so the
 // mid-step-miss and fault-degradation protocol is untouched by fusion.
@@ -29,10 +29,11 @@ import (
 // increments.
 //
 // Compiled form is derived state, not memoized data: it is attached to hot
-// chains lazily during replay, never serialized (snapshot/warmio enumerate
-// action fields explicitly), rebuilt after warm-cache adoption, and
-// discarded whenever the owning entry's cver moves (fault injection,
-// invalidation) so a mutated chain is re-validated before its next replay.
+// chains lazily during replay, never serialized (snapshot and the warm
+// codec enumerate action fields explicitly), rebuilt after warm-cache
+// adoption, and discarded whenever the owning entry's CVer moves (fault
+// injection, invalidation) so a mutated chain is re-validated before its
+// next replay.
 
 // actFn replays one action with its kind, operands, and flags resolved at
 // compile time.
@@ -69,7 +70,7 @@ type fusedActs struct {
 // ir.ReplayPlan the Facile compiler proves for described simulators.
 // Because the taxonomy is fixed at compile time, the whole classification
 // is a declared table rather than a per-action scan: pure-flow kinds
-// advance along a.next unconditionally and may join a superinstruction;
+// advance along a.Next unconditionally and may join a superinstruction;
 // fork kinds carry a dynamic result and always break a run; aEnd is the
 // step boundary where the next memoization key is assembled.
 var actClass = [aEnd + 1]ir.ReplayClass{
@@ -105,7 +106,7 @@ func (s *Sim) buildFused(a *action) *fusedActs {
 		if a.kind == aShift {
 			fr.ins += uint64(a.slot)
 		}
-		a = a.next
+		a = a.Next
 	}
 	fr.end = a
 	if fr.n < minActFuseLen {

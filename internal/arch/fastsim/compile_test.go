@@ -9,6 +9,7 @@ import (
 	"facile/internal/arch/uarch"
 	"facile/internal/faults"
 	"facile/internal/lang/ir"
+	"facile/internal/memocache"
 	"facile/internal/workloads"
 )
 
@@ -27,8 +28,8 @@ func TestEmptyPathMissDegrades(t *testing.T) {
 
 	s := New(uarch.Default(), p, Options{Memoize: true})
 	key := s.eng.snapshotKey()
-	bad := &centry{key: key, first: &action{kind: aNextPC}}
-	s.ac.put(bad)
+	bad := &memocache.Entry[action]{Key: key, First: &action{kind: aNextPC}}
+	s.ac.Put(bad)
 	s.beginReplay(key)
 	s.replayFrom(bad, 0)
 
@@ -56,24 +57,24 @@ func TestEmptyPathMissDegrades(t *testing.T) {
 
 // TestFusedStateDiscardedOnCverBump pins the derived-state contract: a
 // superinstruction built for an action is valid only while the owning
-// entry's cver is unchanged, and both fault injection and invalidation
+// entry's CVer is unchanged, and both fault injection and invalidation
 // move it.
 func TestFusedStateDiscardedOnCverBump(t *testing.T) {
 	p := asmOrDie(t, sumLoop)
 	s := New(uarch.Default(), p, Options{Memoize: true})
-	e := &centry{key: "k", first: &action{kind: aShift, slot: 1}}
-	s.ac.put(e)
-	a := e.first
+	e := &memocache.Entry[action]{Key: "k", First: &action{kind: aShift, slot: 1}}
+	s.ac.Put(e)
+	a := e.First
 	a.fused = s.buildFused(a)
-	a.fusedVer = e.cver
-	s.ac.invalidate(e)
-	if a.fusedVer == e.cver {
-		t.Fatal("invalidate did not bump cver; stale fused state would survive")
+	a.fusedVer = e.CVer
+	s.ac.Invalidate(e)
+	if a.fusedVer == e.CVer {
+		t.Fatal("invalidate did not bump CVer; stale fused state would survive")
 	}
-	a.fusedVer = e.cver
+	a.fusedVer = e.CVer
 	s.injectFault(e, faults.InjFlipFork)
-	if a.fusedVer == e.cver {
-		t.Fatal("injectFault did not bump cver; stale fused state would survive")
+	if a.fusedVer == e.CVer {
+		t.Fatal("injectFault did not bump CVer; stale fused state would survive")
 	}
 }
 
@@ -157,8 +158,10 @@ func TestForkAtRunHeadSeversFusion(t *testing.T) {
 	p := asmOrDie(t, sumLoop)
 	s := New(uarch.Default(), p, Options{Memoize: true})
 	t2 := &action{kind: aShift, slot: 1}
-	t1 := &action{kind: aShift, slot: 1, next: t2}
-	head := &action{kind: aNextPC, next: t1}
+	t1 := &action{kind: aShift, slot: 1}
+	t1.Next = t2
+	head := &action{kind: aNextPC}
+	head.Next = t1
 	if fr := s.buildFused(head); fr.n != 0 || len(fr.fns) != 0 {
 		t.Errorf("fork-headed run fused %d actions, want 0", fr.n)
 	}

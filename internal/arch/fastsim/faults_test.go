@@ -7,6 +7,7 @@ import (
 	"facile/internal/arch/funcsim"
 	"facile/internal/arch/uarch"
 	"facile/internal/faults"
+	"facile/internal/memocache"
 )
 
 // The recovery contract under injected faults: the run must not panic, the
@@ -196,20 +197,20 @@ func TestSelfCheckCatchesCorruption(t *testing.T) {
 func TestClearWhenFullOnOverflowingPut(t *testing.T) {
 	// The clear must happen on the put that overflows the cap, not one
 	// put later (and it clears the overflowing entry too).
-	c := newACache(200, nil)
+	c := memocache.NewCache[action](200, nil)
 	keys := []string{"aaaa", "bbbb", "cccc", "dddd"}
 	for i, k := range keys {
-		c.put(&centry{key: k})
-		occupied := uint64(i+1) * (entryBytes + 4)
+		c.Put(&memocache.Entry[action]{Key: k})
+		occupied := uint64(i+1) * (memocache.EntryBytes + 4)
 		if occupied <= 200 {
-			if c.g.Clears != 0 {
+			if c.G.Clears != 0 {
 				t.Fatalf("cleared at %d bytes, under the 200-byte cap", occupied)
 			}
 			continue
 		}
-		if c.g.Clears != 1 || len(c.m) != 0 || c.g.Bytes != 0 {
+		if c.G.Clears != 1 || c.Len() != 0 || c.G.Bytes != 0 {
 			t.Fatalf("put #%d crossed the cap but state is m=%d bytes=%d clears=%d",
-				i+1, len(c.m), c.g.Bytes, c.g.Clears)
+				i+1, c.Len(), c.G.Bytes, c.G.Clears)
 		}
 		break
 	}

@@ -1,28 +1,18 @@
 package fastsim
 
-import "facile/internal/faults"
-
-// spineNext advances one action along an entry's primary path: the next
-// link when present, else the first recorded fork of a dynamic-result
-// action.
-func spineNext(a *action) *action {
-	if a.next != nil {
-		return a.next
-	}
-	if len(a.forks) > 0 {
-		return a.forks[0].next
-	}
-	return nil
-}
+import (
+	"facile/internal/faults"
+	"facile/internal/memocache"
+)
 
 // injectFault corrupts cache entry e according to inj. It runs only under
 // a configured faults.Injector (tests and fault drills); each corruption
 // is crafted so the corresponding detection + recovery path must fire.
-func (s *Sim) injectFault(e *centry, inj faults.Injection) {
+func (s *Sim) injectFault(e *memocache.Entry[action], inj faults.Injection) {
 	// Any mutation of the recorded chain invalidates the derived compiled
 	// state: bump the entry's version so stale superinstructions are
 	// discarded and the corruption is re-validated on the next replay.
-	e.cver++
+	e.CVer++
 	ij := s.opt.Inject
 	switch inj {
 	case faults.InjBreakChain:
@@ -30,55 +20,55 @@ func (s *Sim) injectFault(e *centry, inj faults.Injection) {
 		// actions qualify (severing a fork would read as a value miss, not
 		// a broken chain); an entry with none gets its head severed.
 		var candidates []*action
-		a := e.first
+		a := e.First
 		for n := 0; a != nil && n < 64; n++ {
-			if a.next != nil && a.kind != aEnd && a.next.kind != aEnd {
+			if a.Next != nil && a.kind != aEnd && a.Next.kind != aEnd {
 				candidates = append(candidates, a)
 			}
-			a = spineNext(a)
+			a = a.Spine()
 		}
 		if len(candidates) > 0 {
-			candidates[ij.Rand()%uint64(len(candidates))].next = nil
+			candidates[ij.Rand()%uint64(len(candidates))].Next = nil
 		} else {
-			e.first = nil
+			e.First = nil
 		}
 
 	case faults.InjFlipFork:
 		// Flip a recorded fork value: the live dynamic result no longer
 		// matches any fork, which reads as a first-time value (a miss) and
 		// recovers through the ordinary recovery-stack protocol.
-		a := e.first
+		a := e.First
 		for n := 0; a != nil && n < 64; n++ {
-			if len(a.forks) > 0 {
-				f := &a.forks[ij.Rand()%uint64(len(a.forks))]
-				f.val ^= 1 << 62
+			if len(a.Forks) > 0 {
+				f := &a.Forks[ij.Rand()%uint64(len(a.Forks))]
+				f.Val ^= 1 << 62
 				return
 			}
-			a = spineNext(a)
+			a = a.Spine()
 		}
-		e.first = nil // no forks to flip: degrade to a severed chain
+		e.First = nil // no forks to flip: degrade to a severed chain
 
 	case faults.InjTruncate:
 		// Truncate the recorded successor key so the step-start state can
 		// no longer be restored from it (corrupt-key fault → drain reset).
 		// The cached link is dropped too; otherwise the replay would chain
 		// through it without ever touching the corrupt key.
-		a := e.first
+		a := e.First
 		for n := 0; a != nil && n < 256; n++ {
 			if a.kind == aEnd {
-				if len(a.nextKey) > 1 {
-					a.nextKey = a.nextKey[:len(a.nextKey)/2]
+				if len(a.NextKey) > 1 {
+					a.NextKey = a.NextKey[:len(a.NextKey)/2]
 				}
-				a.link = nil
+				a.Link = nil
 				return
 			}
-			a = spineNext(a)
+			a = a.Spine()
 		}
-		e.first = nil // halting entry has no aEnd: degrade to a severed chain
+		e.First = nil // halting entry has no aEnd: degrade to a severed chain
 
 	case faults.InjGenBump:
 		// Clear the cache underneath the in-flight replay, exactly as
 		// clear-when-full would mid-run.
-		s.ac.clearNow()
+		s.ac.Clear()
 	}
 }

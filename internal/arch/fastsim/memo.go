@@ -27,14 +27,8 @@ const (
 const flagWrite = 1
 const flagMispred = 2
 
-// fork is one recorded successor of a dynamic-result action: the control
-// path taken when the dynamic value equaled val.
-type fork struct {
-	val  uint64
-	next *action
-}
-
-// action is one node in the specialized action cache.
+// action is one node in the specialized action cache. Its successors live
+// in the embedded memocache.Links.
 type action struct {
 	kind  uint8
 	flags uint8
@@ -43,130 +37,21 @@ type action struct {
 	dcyc  uint32 // cycles elapsed since the previous action (rt-static)
 	pc    uint64
 	in    isa.Inst
-	forks []fork // successors of dynamic-result actions, keyed by value
-	next  *action
-
-	// aEnd only:
-	nextKey string
-	link    *centry
-	linkGen uint64
+	memocache.Links[action]
 
 	// Derived compiled-replay state (see compile.go): the superinstruction
 	// headed by this action, valid only while fusedVer equals the owning
-	// entry's cver. Never serialized — snapshot/warmio enumerate fields
-	// explicitly — and rebuilt lazily after warm adoption.
+	// entry's CVer. Never serialized — snapshot and the warm codec
+	// enumerate fields explicitly — and rebuilt lazily after warm adoption.
 	fused    *fusedActs
 	fusedVer uint64
-}
-
-// findFork returns the successor recorded for value v, if any.
-func (a *action) findFork(v uint64) (*action, bool) {
-	for i := range a.forks {
-		if a.forks[i].val == v {
-			return a.forks[i].next, true
-		}
-	}
-	return nil, false
-}
-
-// centry is one specialized action cache entry: a key (the compressed
-// instruction queue) and the recorded action graph.
-type centry struct {
-	key   string
-	first *action
-	gen   uint64
-	bytes uint64 // bytes charged against the gauge for this entry
-
-	// cver versions the entry's derived compiled-replay state: any
-	// mutation of the recorded chain (fault injection, invalidation)
-	// bumps it, so stale superinstructions are discarded and the mutated
-	// chain is re-validated before its next replay.
-	cver uint64
 }
 
 // Approximate byte accounting for Table 2. We charge the in-memory cost of
 // each node rather than a serialized form; the paper's absolute megabyte
 // counts depended on its binary format, so EXPERIMENTS.md compares shapes,
-// not absolute sizes.
-const (
-	actionBytes = 96
-	forkBytes   = 24
-	entryBytes  = 48
-)
-
-// acache is the specialized action cache with the paper's
-// clear-when-full policy (§6.1: "fixing a maximum cache size and clearing
-// the cache when it fills"). Byte accounting, the clear policy, and the
-// staleness generation live in memocache.Gauge, shared with internal/rt.
-type acache struct {
-	m   map[string]*centry
-	g   memocache.Gauge
-	rec *obs.Recorder
-}
-
-func newACache(capBytes uint64, rec *obs.Recorder) *acache {
-	return &acache{
-		m:   make(map[string]*centry),
-		g:   memocache.Gauge{CapBytes: capBytes},
-		rec: rec,
-	}
-}
-
-func (c *acache) get(key string) *centry { return c.m[key] }
-
-func (c *acache) put(e *centry) {
-	e.gen = c.g.Gen
-	if old := c.m[e.key]; old != nil && old != e {
-		// Re-recording a key (e.g. after a corrupt-key recovery re-ran a
-		// step the cache already held) replaces the old entry; refund it or
-		// its bytes stay charged forever.
-		c.g.Refund(old.bytes)
-		old.bytes = 0
-	}
-	c.m[e.key] = e
-	c.charge(e, uint64(entryBytes+len(e.key)))
-	if c.g.Over() {
-		// Clear when full — on the put that overflowed the cap, including
-		// the entry just installed. In-progress replays detect stale
-		// entries via the generation.
-		c.clearNow()
-	}
-}
-
-// charge accounts n freshly memoized bytes to the gauge and, when the bytes
-// belong to a particular entry, to that entry — so a later invalidation can
-// refund exactly what the entry charged.
-func (c *acache) charge(e *centry, n uint64) {
-	if e != nil {
-		e.bytes += n
-	}
-	c.g.Charge(n)
-}
-
-// invalidate discards entry e after a fault, refunding its charged bytes.
-// The refund happens only while e is still the cache's current entry for
-// its key: after a clear the gauge was already reset, and refunding a stale
-// entry would double-count. The generation moves either way so any
-// replay-cached link to e re-validates and misses.
-func (c *acache) invalidate(e *centry) {
-	e.cver++ // discard derived compiled state along with the entry
-	var refund uint64
-	if cur, ok := c.m[e.key]; ok && cur == e {
-		delete(c.m, e.key)
-		refund = e.bytes
-	}
-	e.bytes = 0
-	c.g.Invalidated(refund)
-	c.rec.Event(obs.EvInvalidation, refund)
-}
-
-// clearNow discards the whole cache, as clear-when-full would.
-func (c *acache) clearNow() {
-	freed := c.g.Bytes
-	c.m = make(map[string]*centry)
-	c.g.Cleared()
-	c.rec.Event(obs.EvClearWhenFull, freed)
-}
+// not absolute sizes. The entry and fork costs are memocache's.
+const actionBytes = 96
 
 // Stats reports memoization statistics.
 type Stats struct {
@@ -245,7 +130,7 @@ type Sim struct {
 	prog *loader.Program
 	eng  *engine
 	opt  Options
-	ac   *acache
+	ac   *memocache.Cache[action]
 
 	// Dynamic global state shared between the fast and slow simulators
 	// (the paper's global-variable channel): per-slot effective addresses
@@ -325,7 +210,7 @@ func New(cfg uarch.Config, prog *loader.Program, opt Options) *Sim {
 		prog:       prog,
 		eng:        newEngine(cfg, prog, opt.StepCommits),
 		opt:        opt,
-		ac:         newACache(opt.CacheCapBytes, opt.Obs),
+		ac:         memocache.NewCache[action](opt.CacheCapBytes, opt.Obs),
 		ringAddr:   make([]uint64, ring),
 		ringNPC:    make([]uint64, ring),
 		ringMask:   uint32(ring - 1),
@@ -357,8 +242,8 @@ func (s *Sim) sampleNow() obs.Sample {
 		Insts:        s.slowInsts + s.fastInsts,
 		SlowInsts:    s.slowInsts,
 		FastInsts:    s.fastInsts,
-		CacheBytes:   s.ac.g.Bytes,
-		CacheEntries: uint64(len(s.ac.m)),
+		CacheBytes:   s.ac.G.Bytes,
+		CacheEntries: uint64(s.ac.Len()),
 	}
 }
 
@@ -394,14 +279,14 @@ func (s *Sim) Stats() Stats {
 		Replays:         s.replays,
 		Misses:          s.misses,
 		KeyMisses:       s.keyMisses,
-		CacheBytes:      s.ac.g.Bytes,
-		CacheEntries:    uint64(len(s.ac.m)),
-		TotalMemoBytes:  s.ac.g.TotalBytes,
-		CacheClears:     s.ac.g.Clears,
+		CacheBytes:      s.ac.G.Bytes,
+		CacheEntries:    uint64(s.ac.Len()),
+		TotalMemoBytes:  s.ac.G.TotalBytes,
+		CacheClears:     s.ac.G.Clears,
 		FastForwardedPc: pct,
 
 		Faults:               s.faultCount,
-		Invalidations:        s.ac.g.Invalidations,
+		Invalidations:        s.ac.G.Invalidations,
 		DegradedSteps:        s.degraded,
 		WatchdogTrips:        s.wdTrips + s.eng.wdTrips,
 		SelfChecks:           s.selfChecks,
@@ -457,10 +342,10 @@ func (s *Sim) Run(maxInsts uint64) uarch.Result {
 			if s.engineLive {
 				key = s.eng.snapshotKey()
 			}
-			if e := s.ac.get(key); e != nil {
+			if e := s.ac.Get(key); e != nil {
 				if inj := s.opt.Inject.Arm(); inj != faults.InjNone {
 					s.injectFault(e, inj)
-					if e = s.ac.get(key); e == nil {
+					if e = s.ac.Get(key); e == nil {
 						// The injection cleared the cache out from under us;
 						// treat it as the key miss it now is.
 						if !s.engineLive {
@@ -606,8 +491,8 @@ func (s *Sim) runStepSlow() {
 		s.done = s.eng.haltSeen
 		return
 	}
-	ent := &centry{key: s.eng.snapshotKey()}
-	rec := &recorder{s: s, ent: ent, tail: &ent.first, lastCycle: s.eng.cycle}
+	ent := &memocache.Entry[action]{Key: s.eng.snapshotKey()}
+	rec := &recorder{s: s, ent: ent, tail: &ent.First, lastCycle: s.eng.cycle}
 	s.eng.runStep(rec)
 	s.finishSlowStep(rec, ent)
 }
@@ -615,18 +500,19 @@ func (s *Sim) runStepSlow() {
 // finishSlowStep seals a recorded entry (normal or recovery) and installs
 // it in the action cache. A nil rec (degraded step: nothing worth keeping)
 // just seals the cycle/halt state.
-func (s *Sim) finishSlowStep(rec *recorder, ent *centry) {
+func (s *Sim) finishSlowStep(rec *recorder, ent *memocache.Entry[action]) {
 	s.cycle = s.eng.cycle
 	if s.eng.haltSeen {
 		s.done = true
 	} else if rec != nil {
-		end := &action{kind: aEnd, nextKey: s.eng.snapshotKey()}
+		end := &action{kind: aEnd}
+		end.NextKey = s.eng.snapshotKey()
 		rec.emit(end)
 	}
 	if ent != nil {
-		s.ac.put(ent)
-		s.obs.Event(obs.EvStepRecorded, ent.bytes)
-		s.hEntrySize.Observe(ent.bytes)
+		s.ac.Put(ent)
+		s.obs.Event(obs.EvStepRecorded, ent.Bytes)
+		s.hEntrySize.Observe(ent.Bytes)
 	}
 }
 
@@ -634,7 +520,7 @@ func (s *Sim) finishSlowStep(rec *recorder, ent *centry) {
 
 type recorder struct {
 	s         *Sim
-	ent       *centry // entry the recorded bytes are charged to
+	ent       *memocache.Entry[action] // entry the recorded bytes are charged to
 	tail      **action
 	lastCycle uint64
 }
@@ -643,16 +529,15 @@ func (r *recorder) emit(a *action) {
 	a.dcyc = uint32(r.s.eng.cycle - r.lastCycle)
 	r.lastCycle = r.s.eng.cycle
 	*r.tail = a
-	r.tail = &a.next
-	r.s.ac.charge(r.ent, actionBytes)
+	r.tail = &a.Next
+	r.s.ac.Charge(r.ent, actionBytes)
 }
 
 // emitResult records a dynamic-result fork for value v on the (just
 // emitted) dynres action a and directs subsequent recording into it.
 func (r *recorder) emitResult(a *action, v uint64) {
-	a.forks = append(a.forks, fork{val: v})
-	r.tail = &a.forks[len(a.forks)-1].next
-	r.s.ac.charge(r.ent, forkBytes)
+	r.tail = a.AddFork(v)
+	r.s.ac.Charge(r.ent, memocache.ForkBytes)
 }
 
 func (r *recorder) exec(slot int, pc uint64, in isa.Inst, cls isa.Class) (uint64, uint64) {

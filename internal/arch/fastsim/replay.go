@@ -5,6 +5,7 @@ import (
 
 	"facile/internal/faults"
 	"facile/internal/isa"
+	"facile/internal/memocache"
 	"facile/internal/obs"
 )
 
@@ -22,12 +23,12 @@ import (
 // (degradeStep). The replay tracks s.ops, the count of sink-level
 // operations it has completed this step, so the degraded re-run knows
 // exactly where to switch from consuming replayed values to running live.
-func (s *Sim) replayFrom(e *centry, maxInsts uint64) {
+func (s *Sim) replayFrom(e *memocache.Entry[action], maxInsts uint64) {
 	st := s.eng.st
 	s.path = s.path[:0]
 	s.ops = 0
 	var acts uint64
-	a := e.first
+	a := e.First
 	for {
 		if a == nil {
 			if st.Halted {
@@ -50,12 +51,12 @@ func (s *Sim) replayFrom(e *centry, maxInsts uint64) {
 			// Compiled fast path: execute the superinstruction headed at a —
 			// a straight-line run of pure-flow actions — as one fused call
 			// sequence. Built lazily per head action and discarded whenever
-			// the entry's cver moves (injection, invalidation).
+			// the entry's CVer moves (injection, invalidation).
 			fr := a.fused
-			if fr == nil || a.fusedVer != e.cver {
+			if fr == nil || a.fusedVer != e.CVer {
 				fr = s.buildFused(a)
 				a.fused = fr
-				a.fusedVer = e.cver
+				a.fusedVer = e.CVer
 				if fr.n > 0 {
 					s.cFusedRuns.Inc()
 					s.cCompActs.Add(fr.n)
@@ -107,11 +108,11 @@ func (s *Sim) replayFrom(e *centry, maxInsts uint64) {
 				s.path = append(s.path, npc)
 			}
 			s.ops++ // one sink.exec call covers a following aNextPC test too
-			a = a.next
+			a = a.Next
 
 		case aNextPC:
 			v := s.slotNPCAt(int(a.slot))
-			next, ok := a.findFork(v)
+			next, ok := a.FindFork(v)
 			if !ok {
 				s.miss(a, e)
 				return
@@ -122,7 +123,7 @@ func (s *Sim) replayFrom(e *centry, maxInsts uint64) {
 			lat := s.eng.mem.Inst(a.pc, s.cycle)
 			s.path = append(s.path, lat)
 			s.ops++
-			next, ok := a.findFork(lat)
+			next, ok := a.FindFork(lat)
 			if !ok {
 				s.miss(a, e)
 				return
@@ -133,7 +134,7 @@ func (s *Sim) replayFrom(e *centry, maxInsts uint64) {
 			lat := s.eng.mem.Data(s.slotAddrAt(int(a.slot)), s.cycle, a.flags&flagWrite != 0)
 			s.path = append(s.path, lat)
 			s.ops++
-			next, ok := a.findFork(lat)
+			next, ok := a.FindFork(lat)
 			if !ok {
 				s.miss(a, e)
 				return
@@ -144,7 +145,7 @@ func (s *Sim) replayFrom(e *centry, maxInsts uint64) {
 			npc := s.eng.pred.Predict(a.in, a.pc)
 			s.path = append(s.path, npc)
 			s.ops++
-			next, ok := a.findFork(npc)
+			next, ok := a.FindFork(npc)
 			if !ok {
 				s.miss(a, e)
 				return
@@ -154,13 +155,13 @@ func (s *Sim) replayFrom(e *centry, maxInsts uint64) {
 		case aUpdate:
 			s.eng.pred.Update(a.in, a.pc, s.slotNPCAt(int(a.slot)), a.flags&flagMispred != 0)
 			s.ops++
-			a = a.next
+			a = a.Next
 
 		case aShift:
 			s.shiftSlots(int(a.slot))
 			s.fastInsts += uint64(a.slot)
 			s.ops++
-			a = a.next
+			a = a.Next
 
 		case aHalted:
 			// The halt flag is a dynamic result like any other: follow the
@@ -170,7 +171,7 @@ func (s *Sim) replayFrom(e *centry, maxInsts uint64) {
 			h := b2u(st.Halted)
 			s.path = append(s.path, h)
 			s.ops++
-			next, ok := a.findFork(h)
+			next, ok := a.FindFork(h)
 			if !ok {
 				s.miss(a, e)
 				return
@@ -184,7 +185,7 @@ func (s *Sim) replayFrom(e *centry, maxInsts uint64) {
 			s.replays++
 			s.obs.Event(obs.EvStepReplayed, acts)
 			s.hStepActs.Observe(acts)
-			s.curKey = a.nextKey
+			s.curKey = a.NextKey
 			s.startBase = s.base
 			s.startCycle = s.cycle
 			s.path = s.path[:0]
@@ -199,18 +200,18 @@ func (s *Sim) replayFrom(e *centry, maxInsts uint64) {
 				// back instead of following the link directly.
 				return
 			}
-			if a.link == nil || a.linkGen != s.ac.g.Gen {
-				le := s.ac.get(a.nextKey)
+			if a.Link == nil || a.LinkGen != s.ac.G.Gen {
+				le := s.ac.Get(a.NextKey)
 				if le == nil {
 					s.keyMisses++
-					s.obs.Event(obs.EvKeyMiss, uint64(len(a.nextKey)))
+					s.obs.Event(obs.EvKeyMiss, uint64(len(a.NextKey)))
 					return // boundary miss: Run restores the slow simulator
 				}
-				a.link = le
-				a.linkGen = s.ac.g.Gen
+				a.Link = le
+				a.LinkGen = s.ac.G.Gen
 			}
-			e = a.link
-			a = e.first
+			e = a.Link
+			a = e.First
 
 		default:
 			s.fault(faults.BadAction, fmt.Sprintf("unknown action kind %d", a.kind))
@@ -227,7 +228,7 @@ func (s *Sim) replayFrom(e *centry, maxInsts uint64) {
 // as a fresh fork of a. A recovery that disagrees with the replayed path
 // (overrun or incomplete consumption) is a fault: the entry is invalidated
 // and the step's recording is abandoned.
-func (s *Sim) miss(a *action, e *centry) {
+func (s *Sim) miss(a *action, e *memocache.Entry[action]) {
 	if len(s.path) == 0 {
 		// Defensive: aNextPC is the only fork action that does not append
 		// to s.path itself — it relies on the preceding aExec having logged
@@ -247,13 +248,13 @@ func (s *Sim) miss(a *action, e *centry) {
 	if !s.restoreEngine() {
 		// Corrupt step key: recovery alignment is impossible. The drain
 		// reset already put the engine back on the architectural stream.
-		s.invalidateEntry(e)
+		s.ac.Invalidate(e)
 		s.degraded++
 		return
 	}
-	a.forks = append(a.forks, fork{val: v})
-	s.ac.charge(e, forkBytes)
-	rec := &recorder{s: s, ent: e, tail: &a.forks[len(a.forks)-1].next}
+	tail := a.AddFork(v)
+	s.ac.Charge(e, memocache.ForkBytes)
+	rec := &recorder{s: s, ent: e, tail: tail}
 	rv := &recoverer{s: s, path: s.path, rec: rec, live: rec}
 	s.eng.runStep(rv)
 	if rv.overrun || !rv.active {
@@ -264,10 +265,10 @@ func (s *Sim) miss(a *action, e *centry) {
 			detail = "recovery cursor overran the replayed path"
 		}
 		s.fault(kind, detail)
-		s.invalidateEntry(e)
+		s.ac.Invalidate(e)
 		s.degraded++
 		// Drop the half-recorded fork so the dead entry can't replay it.
-		a.forks = a.forks[:len(a.forks)-1]
+		a.Forks = a.Forks[:len(a.Forks)-1]
 		s.finishSlowStep(nil, nil)
 		return
 	}
@@ -279,10 +280,10 @@ func (s *Sim) miss(a *action, e *centry) {
 // step-start state, and the step re-runs in recovery mode — consuming the
 // dynamic values the replay already produced, without recording anything —
 // so the step finishes on the always-correct slow path.
-func (s *Sim) degradeStep(e *centry) {
+func (s *Sim) degradeStep(e *memocache.Entry[action]) {
 	s.steps++
 	s.degraded++
-	s.invalidateEntry(e)
+	s.ac.Invalidate(e)
 	if !s.restoreEngine() {
 		return // drained: the engine is already back on the live stream
 	}
@@ -301,9 +302,4 @@ func (s *Sim) degradeStep(e *centry) {
 		s.fault(faults.RecoveryOverrun, "degraded re-run overran the replayed path")
 	}
 	s.finishSlowStep(nil, nil)
-}
-
-// invalidateEntry discards e from the action cache after a fault.
-func (s *Sim) invalidateEntry(e *centry) {
-	s.ac.invalidate(e)
 }

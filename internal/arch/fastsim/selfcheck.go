@@ -5,6 +5,7 @@ import (
 
 	"facile/internal/faults"
 	"facile/internal/isa"
+	"facile/internal/memocache"
 	"facile/internal/obs"
 )
 
@@ -34,7 +35,7 @@ const (
 // checker is the self-check sink.
 type checker struct {
 	s         *Sim
-	ent       *centry
+	ent       *memocache.Entry[action]
 	a         *action // next expected recorded action
 	lastCycle uint64
 	rec       *recorder // active in scRecord mode
@@ -48,7 +49,7 @@ func (c *checker) diverge(detail string) {
 	s.fault(faults.SelfCheckDivergence, detail)
 	s.scDiverged++
 	s.degraded++
-	s.invalidateEntry(c.ent)
+	s.ac.Invalidate(c.ent)
 	c.mode = scLive
 }
 
@@ -77,16 +78,16 @@ func (c *checker) expect(kind uint8) *action {
 // never recorded — extends the entry with a fresh fork and switches to
 // recording, exactly as miss recovery would.
 func (c *checker) forkOn(a *action, v uint64) {
-	if next, ok := a.findFork(v); ok {
+	if next, ok := a.FindFork(v); ok {
 		c.a = next
 		return
 	}
 	s := c.s
 	s.misses++
 	s.obs.Event(obs.EvMidStepMiss, 0)
-	a.forks = append(a.forks, fork{val: v})
-	s.ac.charge(c.ent, forkBytes)
-	c.rec = &recorder{s: s, ent: c.ent, tail: &a.forks[len(a.forks)-1].next, lastCycle: s.eng.cycle}
+	tail := a.AddFork(v)
+	s.ac.Charge(c.ent, memocache.ForkBytes)
+	c.rec = &recorder{s: s, ent: c.ent, tail: tail, lastCycle: s.eng.cycle}
 	c.mode = scRecord
 }
 
@@ -107,7 +108,7 @@ func (c *checker) exec(slot int, pc uint64, in isa.Inst, cls isa.Class) (uint64,
 		c.diverge("exec action fields disagree with live fetch")
 		return addr, npc
 	}
-	c.a = a.next
+	c.a = a.Next
 	if needNextPCTest(in, cls) {
 		if t := c.expect(aNextPC); t != nil {
 			if int(t.slot) != slot {
@@ -183,7 +184,7 @@ func (c *checker) update(slot int, pc uint64, in isa.Inst, actual uint64, mispre
 				(a.flags&flagMispred != 0) != mispred {
 				c.diverge("update action fields disagree")
 			} else {
-				c.a = a.next
+				c.a = a.Next
 			}
 		}
 	}
@@ -214,7 +215,7 @@ func (c *checker) shifted(k int) {
 			if int(a.slot) != k {
 				c.diverge("shift width disagrees")
 			} else {
-				c.a = a.next
+				c.a = a.Next
 			}
 		}
 	}
@@ -222,10 +223,10 @@ func (c *checker) shifted(k int) {
 
 // selfCheckStep re-executes one cached step on the slow simulator,
 // verifying the recorded entry against the live run (see checker).
-func (s *Sim) selfCheckStep(e *centry) {
+func (s *Sim) selfCheckStep(e *memocache.Entry[action]) {
 	s.selfChecks++
 	s.steps++
-	chk := &checker{s: s, ent: e, a: e.first, lastCycle: s.eng.cycle}
+	chk := &checker{s: s, ent: e, a: e.First, lastCycle: s.eng.cycle}
 	s.eng.runStep(chk)
 	s.cycle = s.eng.cycle
 	if s.eng.haltSeen {
@@ -240,7 +241,7 @@ func (s *Sim) selfCheckStep(e *centry) {
 			chk.diverge("recorded chain and live step end in different places")
 			return
 		}
-		if a.nextKey != nextKey {
+		if a.NextKey != nextKey {
 			chk.diverge("recorded successor key disagrees with live state")
 			return
 		}
@@ -249,6 +250,8 @@ func (s *Sim) selfCheckStep(e *centry) {
 			return
 		}
 	case scRecord:
-		chk.rec.emit(&action{kind: aEnd, nextKey: nextKey})
+		end := &action{kind: aEnd}
+		end.NextKey = nextKey
+		chk.rec.emit(end)
 	}
 }

@@ -100,9 +100,9 @@ func (s *Sim) SaveState(w *snapshot.Writer) error {
 	w.U64(s.wdTrips + s.eng.wdTrips)
 	w.U64(s.selfChecks)
 	w.U64(s.scDiverged)
-	w.U64(s.ac.g.TotalBytes)
-	w.U64(s.ac.g.Clears)
-	w.U64(s.ac.g.Invalidations)
+	w.U64(s.ac.G.TotalBytes)
+	w.U64(s.ac.G.Clears)
+	w.U64(s.ac.G.Invalidations)
 	return nil
 }
 
@@ -173,9 +173,9 @@ func (s *Sim) LoadState(r *snapshot.Reader) error {
 	s.wdTrips = r.U64()
 	s.selfChecks = r.U64()
 	s.scDiverged = r.U64()
-	s.ac.g.TotalBytes = r.U64()
-	s.ac.g.Clears = r.U64()
-	s.ac.g.Invalidations = r.U64()
+	s.ac.G.TotalBytes = r.U64()
+	s.ac.G.Clears = r.U64()
+	s.ac.G.Invalidations = r.U64()
 	if err := r.Err(); err != nil {
 		return err
 	}

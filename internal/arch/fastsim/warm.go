@@ -1,79 +1,90 @@
 package fastsim
 
-// Warm-cache sharing: the specialized action cache is a pure acceleration
-// structure (every entry is re-derivable by the slow simulator), so a cache
-// built by one run of a program is valid for any later run of the same
-// program under the same configuration. DetachCache removes the cache from
-// a finished simulator and AdoptCache installs it into a fresh one, letting
-// a job server amortize specialization cost across jobs instead of only
-// within one run — the compounding the paper's memoization economics want.
+// Warm-cache sharing: every cache entry is re-derivable by the slow
+// simulator, so a cache built by one run of a program is valid for any
+// later run of the same program under the same configuration. A job server
+// detaches it from a finished simulator and adopts it into a fresh one, or
+// persists it (internal/cachestore), amortizing specialization cost across
+// jobs instead of only within one run.
 
-// WarmCache is a detached specialized action cache. It is immutable from
-// the holder's point of view: only a Sim that adopts it may mutate the
-// entries, and ownership transfers on AdoptCache, so a WarmCache must never
-// be adopted by two simulators (their mutations would race).
-type WarmCache struct {
-	m     map[string]*centry
-	bytes uint64
-	gen   uint64
-}
+import (
+	"fmt"
 
-// Entries reports the number of cached entries.
-func (wc *WarmCache) Entries() uint64 {
-	if wc == nil {
-		return 0
-	}
-	return uint64(len(wc.m))
-}
+	"facile/internal/isa"
+	"facile/internal/memocache"
+	"facile/internal/snapshot"
+)
 
-// Bytes reports the occupancy charged for the cached entries (accounting
-// model, see Table 2).
-func (wc *WarmCache) Bytes() uint64 {
-	if wc == nil {
-		return 0
-	}
-	return wc.bytes
-}
+// WarmCache is a detached specialized action cache (see memocache.Warm).
+type WarmCache = memocache.Warm[action]
 
-// DetachCache removes and returns the simulator's action cache, leaving an
-// empty cache behind (occupancy refunded, monotonic totals kept). It
-// returns nil when the cache holds nothing. Call it at a step boundary —
-// conventionally after the run completes.
-func (s *Sim) DetachCache() *WarmCache {
-	if len(s.ac.m) == 0 {
+// WarmFormatVersion identifies the serialized action layout. Bump it on
+// any change to the action struct's persisted fields; a store record
+// written by another version fails to adopt instead of replaying garbage.
+const WarmFormatVersion = 1
+
+// warmCodec writes an action's fields from kind through in.Raw; the shared
+// walk writes its links.
+var warmCodec = memocache.Codec[action]{
+	Engine:  "fastsim",
+	Version: WarmFormatVersion,
+	Links:   func(a *action) *memocache.Links[action] { return &a.Links },
+	Save: func(w *snapshot.Writer, a *action) {
+		w.U8(a.kind)
+		w.U8(a.flags)
+		w.U8(uint8(a.cls))
+		w.U64(uint64(a.slot))
+		w.U64(uint64(a.dcyc))
+		w.U64(a.pc)
+		w.U8(uint8(a.in.Op))
+		w.U8(a.in.Rd)
+		w.U8(a.in.Rs1)
+		w.U8(a.in.Rs2)
+		w.I64(a.in.Imm)
+		w.Bool(a.in.HasImm)
+		w.U64(uint64(a.in.Raw))
+	},
+	Load: func(r *snapshot.Reader, a *action) error {
+		a.kind = r.U8()
+		if r.Err() == nil && a.kind > aEnd {
+			return fmt.Errorf("fastsim: warm cache action kind %d out of range", a.kind)
+		}
+		a.flags = r.U8()
+		a.cls = isa.Class(r.U8())
+		a.slot = uint16(r.U64())
+		a.dcyc = uint32(r.U64())
+		a.pc = r.U64()
+		a.in.Op = isa.Opcode(r.U8())
+		a.in.Rd = r.U8()
+		a.in.Rs1 = r.U8()
+		a.in.Rs2 = r.U8()
+		a.in.Imm = r.I64()
+		a.in.HasImm = r.Bool()
+		a.in.Raw = uint32(r.U64())
 		return nil
-	}
-	wc := &WarmCache{m: s.ac.m, bytes: s.ac.g.Bytes, gen: s.ac.g.Gen}
-	s.ac.m = make(map[string]*centry)
-	s.ac.g.Refund(s.ac.g.Bytes)
-	return wc
+	},
 }
 
-// AdoptCache installs a previously detached cache into a simulator that
-// has not yet recorded or replayed anything. The caller must guarantee wc
-// was built over the same program and engine configuration (uarch config,
-// step granularity, cache cap) — entries keyed by another program's
-// pipeline states would replay the wrong actions. It refuses (returning
-// false) a nil/empty cache, a cache exceeding this simulator's cap, or a
-// simulator whose own cache is no longer empty. The adopted occupancy
-// counts toward clear-when-full but not toward this run's TotalMemoBytes:
-// stats stay per-run while the occupancy gauge stays truthful.
+// DetachCache removes and returns the simulator's action cache (see
+// memocache.Cache.Detach). Call it at a step boundary — conventionally
+// after the run completes.
+func (s *Sim) DetachCache() *WarmCache { return s.ac.Detach(&warmCodec) }
+
+// AdoptCache installs a detached cache into a simulator that has not yet
+// recorded or replayed anything (see memocache.Cache.Adopt). The caller
+// must guarantee wc was built over the same program and engine
+// configuration (uarch config, step granularity, cache cap) — entries
+// keyed by another program's pipeline states would replay the wrong
+// actions.
 func (s *Sim) AdoptCache(wc *WarmCache) bool {
-	if wc == nil || len(wc.m) == 0 || len(s.ac.m) != 0 {
-		return false
-	}
-	if s.ac.g.CapBytes > 0 && wc.bytes > s.ac.g.CapBytes {
-		return false
-	}
 	if s.steps != 0 || s.replays != 0 {
 		return false
 	}
-	s.ac.m = wc.m
-	s.ac.g.Bytes = wc.bytes
-	// Preserve the generation the entries' internal links were tagged
-	// with, so replay-cached links re-validate instead of all missing.
-	s.ac.g.Gen = wc.gen
-	wc.m = nil
-	wc.bytes = 0
-	return true
+	return s.ac.Adopt(wc)
+}
+
+// LoadWarmCache reconstructs a detached cache from its serialized form
+// (see memocache.LoadWarm).
+func LoadWarmCache(r *snapshot.Reader) (*WarmCache, error) {
+	return memocache.LoadWarm(r, &warmCodec)
 }

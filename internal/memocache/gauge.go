@@ -1,9 +1,11 @@
-// Package memocache holds the byte-accounting and clear-when-full policy
-// shared by the two specialized action caches (internal/arch/fastsim and
-// internal/rt). Keeping the policy in one place guarantees the engines
-// agree on when a capped cache clears and how fault invalidations interact
-// with the generation counter that in-flight replays use to detect
-// staleness.
+// Package memocache is the specialized action cache both memoizing
+// engines share (internal/arch/fastsim and internal/rt): entries keyed by
+// run-time static state, fork links on dynamic results, the link from a
+// step's end to the next entry, byte accounting with clear-when-full,
+// in-memory hand-over of a finished run's cache (Detach, Adopt) and its
+// serialized form (Save, LoadWarm). It is generic over the engine's node
+// type; each engine keeps its node payload, recorders, replay executors
+// and recovery, and supplies the per-node field codec.
 package memocache
 
 // Gauge tracks a cache's byte occupancy against an optional cap and

@@ -17,10 +17,10 @@ import "facile/internal/lang/ir"
 //     nodes, which are never inside a run.
 //
 //   - Fused state is derived, not memoized: it is never serialized
-//     (snapshot/warmio enumerate fields explicitly), is rebuilt lazily
-//     after warm-cache adoption, and is discarded when the owning entry's
-//     cver moves (fault injection, invalidation) so a mutated chain is
-//     always re-validated before its next replay.
+//     (snapshot and the warm codec enumerate fields explicitly), is
+//     rebuilt lazily after warm-cache adoption, and is discarded when the
+//     owning entry's CVer moves (fault injection, invalidation) so a
+//     mutated chain is always re-validated before its next replay.
 
 // maxFuseLen bounds one run's node count. Longer straight-line chains split
 // into consecutive runs; a cycle in a corrupted graph therefore still
@@ -80,7 +80,7 @@ func (m *Machine) buildFused(n *node) *fusedRun {
 		}
 		fr.steps = append(fr.steps, fusedStep{seg: m.slow.dyn[n.blockID], data: n.data})
 		fr.ops += uint64(len(blk.Dyn))
-		n = n.next
+		n = n.Next
 	}
 	fr.end = n
 	if len(fr.steps) < minFuseLen {

@@ -5,6 +5,7 @@ import (
 
 	"facile/internal/faults"
 	"facile/internal/lang/ir"
+	"facile/internal/memocache"
 )
 
 // minProgram is the smallest runnable program: one empty block with a Ret
@@ -25,12 +26,12 @@ func TestMissRecoverEmptyPathDegrades(t *testing.T) {
 	m := New(minProgram(), nil, Options{Memoize: true})
 	m.curKey = buildKey(m.argI, m.argQ)
 	m.started = true
-	e := &centry{key: m.curKey, first: &node{blockID: 0}}
-	m.ac.put(e)
-	m.stepKey = e.key
+	e := &memocache.Entry[node]{Key: m.curKey, First: &node{blockID: 0}}
+	m.ac.Put(e)
+	m.stepKey = e.Key
 	m.path = m.path[:0]
 	m.nodes = 0
-	if err := m.missRecover(e.first, e); err != nil {
+	if err := m.missRecover(e.First, e); err != nil {
 		t.Fatalf("missRecover: %v", err)
 	}
 	st := m.Stats()
@@ -80,7 +81,7 @@ func forkRetProgram() *ir.Program {
 // TestFusedStateDiscardedOnCverBump pins the derived-state contract: one
 // replay runs the fork block's segment, builds the (empty) run headed at
 // the fork and the fused pure tail, and marks the step-end key vetted. All
-// of that is valid only while the owning entry's cver is unchanged, and
+// of that is valid only while the owning entry's CVer is unchanged, and
 // both invalidation and fault injection move it.
 func TestFusedStateDiscardedOnCverBump(t *testing.T) {
 	m := New(forkRetProgram(), nil, Options{Memoize: true, Inject: faults.NewInjector(1, 0)})
@@ -88,12 +89,15 @@ func TestFusedStateDiscardedOnCverBump(t *testing.T) {
 	if err := m.RegisterExtern("tick", func([]int64) int64 { forkRuns++; return 0 }); err != nil {
 		t.Fatal(err)
 	}
-	n3 := &node{blockID: 3, nextKey: ""}
-	n2 := &node{blockID: 2, next: n3}
-	n1 := &node{blockID: 1, next: n2}
-	n0 := &node{blockID: 0, forks: []nfork{{val: 0, next: n1}}}
-	e := &centry{key: "", first: n0}
-	m.ac.put(e)
+	n3 := &node{blockID: 3}
+	n2 := &node{blockID: 2}
+	n2.Next = n3
+	n1 := &node{blockID: 1}
+	n1.Next = n2
+	n0 := &node{blockID: 0}
+	*n0.AddFork(0) = n1
+	e := &memocache.Entry[node]{First: n0}
+	m.ac.Put(e)
 	if err := m.replayFrom(e, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -104,9 +108,9 @@ func TestFusedStateDiscardedOnCverBump(t *testing.T) {
 		t.Fatalf("fork segment ran %d times, globals %v; want 1, [7 9]", forkRuns, m.globals)
 	}
 	current := func() (fork, tail, key bool) {
-		return n0.fused != nil && n0.fusedVer == e.cver,
-			n1.fused != nil && n1.fusedVer == e.cver,
-			n3.keyVer == e.keyMark()
+		return n0.fused != nil && n0.fusedVer == e.CVer,
+			n1.fused != nil && n1.fusedVer == e.CVer,
+			n3.keyVer == e.KeyMark()
 	}
 	if fork, tail, key := current(); !fork || !tail || !key {
 		t.Fatalf("after replay: fork run %v, pure run %v, key vetted %v; want all current", fork, tail, key)
@@ -119,10 +123,10 @@ func TestFusedStateDiscardedOnCverBump(t *testing.T) {
 		name string
 		do   func()
 	}{
-		{"invalidate", func() { m.ac.invalidate(e) }},
+		{"invalidate", func() { m.ac.Invalidate(e) }},
 		{"injectFault", func() { m.injectFault(e, faults.InjFlipFork) }},
 	} {
-		n0.fusedVer, n1.fusedVer, n3.keyVer = e.cver, e.cver, e.keyMark()
+		n0.fusedVer, n1.fusedVer, n3.keyVer = e.CVer, e.CVer, e.KeyMark()
 		bump.do()
 		if fork, tail, key := current(); fork || tail || key {
 			t.Errorf("%s left derived state current: fork run %v, pure run %v, key vetted %v",
@@ -180,8 +184,10 @@ func TestForkAtRunHeadSeversFusion(t *testing.T) {
 			p.Replay = tc.plan
 			m := New(p, nil, Options{Memoize: true})
 			n2 := &node{blockID: 2}
-			n1 := &node{blockID: 1, next: n2}
-			n0 := &node{blockID: 0, next: n1}
+			n1 := &node{blockID: 1}
+			n1.Next = n2
+			n0 := &node{blockID: 0}
+			n0.Next = n1
 			if fr := m.buildFused(n0); len(fr.steps) != 0 {
 				t.Errorf("fork-headed run fused %d steps, want 0", len(fr.steps))
 			}

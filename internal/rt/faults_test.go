@@ -242,3 +242,24 @@ func TestReplayNodeWatchdog(t *testing.T) {
 		})
 	}
 }
+
+func TestFaultRunKeepsAccountingConsistent(t *testing.T) {
+	// End to end: a run that invalidates entries via injected faults must
+	// leave the gauge equal to the surviving entries' charged bytes.
+	for _, w := range rtFaultWorkloads {
+		t.Run(w.name, func(t *testing.T) {
+			ij := faults.NewInjector(7, 5,
+				faults.InjBreakChain, faults.InjFlipFork,
+				faults.InjTruncate, faults.InjGenBump)
+			m, _ := runFaultWorkload(t, w.src, rt.Options{Memoize: true, Inject: ij})
+			st := m.Stats()
+			if st.Invalidations == 0 {
+				t.Fatalf("injector produced no invalidations: %+v", st)
+			}
+			if want := rt.EntryBytes(m); st.CacheBytes != want {
+				t.Errorf("occupancy %d != surviving entries' bytes %d (stats %+v)",
+					st.CacheBytes, want, st)
+			}
+		})
+	}
+}

@@ -1,6 +1,9 @@
 package rt
 
-import "facile/internal/faults"
+import (
+	"facile/internal/faults"
+	"facile/internal/memocache"
+)
 
 // Deterministic fault injection: corrupt a cache entry just before it
 // replays, so tests can drive every recovery path on demand. The corruption
@@ -8,52 +11,40 @@ import "facile/internal/faults"
 // would produce; recovery must keep simulated results identical to the
 // slow simulator's.
 
-// spineNext follows the recorded chain's spine: the next link for
-// sequential nodes, the first fork branch otherwise.
-func spineNext(n *node) *node {
-	if n.next != nil {
-		return n.next
-	}
-	if len(n.forks) > 0 {
-		return n.forks[0].next
-	}
-	return nil
-}
-
-func (m *Machine) injectFault(e *centry, inj faults.Injection) {
+func (m *Machine) injectFault(e *memocache.Entry[node], inj faults.Injection) {
 	// Any mutation of the recorded chain invalidates the derived replay
 	// state: bump the entry's version so stale fused runs are discarded
 	// and the corruption is re-validated on the next replay.
-	e.cver++
+	e.CVer++
 	ij := m.opt.Inject
 	switch inj {
 	case faults.InjBreakChain:
 		// Sever a sequential link mid-chain (BrokenChain on replay).
 		var cands []*node
-		for n, hops := e.first, 0; n != nil && hops < 64; hops++ {
-			if n.next != nil {
+		for n, hops := e.First, 0; n != nil && hops < 64; hops++ {
+			if n.Next != nil {
 				cands = append(cands, n)
 			}
-			n = spineNext(n)
+			n = n.Spine()
 		}
 		if len(cands) == 0 {
-			e.first = nil
+			e.First = nil
 			return
 		}
-		cands[int(ij.Rand()%uint64(len(cands)))].next = nil
+		cands[int(ij.Rand()%uint64(len(cands)))].Next = nil
 
 	case faults.InjFlipFork:
 		// Corrupt a recorded dynamic-result value so the live value misses
 		// its fork: recovery treats it as a benign first-time result.
-		for n, hops := e.first, 0; n != nil && hops < 64; hops++ {
-			if len(n.forks) > 0 {
-				f := int(ij.Rand() % uint64(len(n.forks)))
-				n.forks[f].val ^= 1 << 62
+		for n, hops := e.First, 0; n != nil && hops < 64; hops++ {
+			if len(n.Forks) > 0 {
+				f := int(ij.Rand() % uint64(len(n.Forks)))
+				n.Forks[f].Val ^= 1 << 62
 				return
 			}
-			n = spineNext(n)
+			n = n.Spine()
 		}
-		e.first = nil
+		e.First = nil
 
 	case faults.InjTruncate:
 		// Truncate recorded state: either a node's placeholder data (caught
@@ -62,27 +53,27 @@ func (m *Machine) injectFault(e *centry, inj faults.Injection) {
 		// continuation bit set so the truncation can never still parse.
 		wantKey := ij.Rand()&1 == 0
 		var ret *node
-		for n, hops := e.first, 0; n != nil && hops < 256; hops++ {
+		for n, hops := e.First, 0; n != nil && hops < 256; hops++ {
 			if !wantKey && len(n.data) > 0 {
 				n.data = n.data[:len(n.data)/2]
 				return
 			}
-			if n.nextKey != "" {
+			if n.NextKey != "" {
 				ret = n
 			}
-			n = spineNext(n)
+			n = n.Spine()
 		}
-		if ret != nil && len(ret.nextKey) > 0 {
-			b := []byte(ret.nextKey[:(len(ret.nextKey)+1)/2])
+		if ret != nil && len(ret.NextKey) > 0 {
+			b := []byte(ret.NextKey[:(len(ret.NextKey)+1)/2])
 			b[len(b)-1] |= 0x80
-			ret.nextKey = string(b)
-			ret.link = nil // a cached link must not bypass the corrupt key
+			ret.NextKey = string(b)
+			ret.Link = nil // a cached link must not bypass the corrupt key
 			return
 		}
-		e.first = nil
+		e.First = nil
 
 	case faults.InjGenBump:
 		// Force a mid-replay generation bump, as clear-when-full would.
-		m.ac.clearNow()
+		m.ac.Clear()
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"facile/internal/faults"
 	"facile/internal/lang/ir"
+	"facile/internal/memocache"
 	"facile/internal/obs"
 )
 
@@ -99,7 +100,7 @@ type Machine struct {
 	externs []Extern
 	scratch []int64 // CallExt/QPush argument buffer, sized to the widest list
 
-	ac      *acache
+	ac      *memocache.Cache[node]
 	started bool
 	curKey  string // key of the next step to run, kept only when memoizing (see nextKey)
 	stepKey string // key of the entry currently being replayed
@@ -145,7 +146,7 @@ func New(p *ir.Program, text TextSource, opt Options) *Machine {
 		arrays:  make([][]int64, len(p.Arrays)),
 		queuesG: make([]*Queue, len(p.QueuesG)),
 		externs: make([]Extern, len(p.Externs)),
-		ac:      newACache(opt.CacheCapBytes, opt.Obs),
+		ac:      memocache.NewCache[node](opt.CacheCapBytes, opt.Obs),
 		obs:     opt.Obs,
 		slow:    decodeProgram(p),
 	}
@@ -177,8 +178,8 @@ func New(p *ir.Program, text TextSource, opt Options) *Machine {
 			Insts:        m.stats.SlowInsts + m.stats.FastOps,
 			SlowInsts:    m.stats.SlowInsts,
 			FastInsts:    m.stats.FastOps,
-			CacheBytes:   m.ac.g.Bytes,
-			CacheEntries: uint64(len(m.ac.m)),
+			CacheBytes:   m.ac.G.Bytes,
+			CacheEntries: uint64(m.ac.Len()),
 		}
 	})
 	for i, g := range p.Globals {
@@ -303,11 +304,11 @@ func (m *Machine) Array(name string) ([]int64, bool) {
 // Stats returns run statistics.
 func (m *Machine) Stats() Stats {
 	st := m.stats
-	st.CacheBytes = m.ac.g.Bytes
-	st.CacheEntries = uint64(len(m.ac.m))
-	st.TotalMemoBytes = m.ac.g.TotalBytes
-	st.CacheClears = m.ac.g.Clears
-	st.Invalidations = m.ac.g.Invalidations
+	st.CacheBytes = m.ac.G.Bytes
+	st.CacheEntries = uint64(m.ac.Len())
+	st.TotalMemoBytes = m.ac.G.TotalBytes
+	st.CacheClears = m.ac.G.Clears
+	st.Invalidations = m.ac.G.Invalidations
 	return st
 }
 
@@ -367,13 +368,13 @@ func (m *Machine) Run(maxSteps uint64) error {
 			return nil
 		}
 		var sink stepSink
-		var ent *centry
+		var ent *memocache.Entry[node]
 		if m.opt.Memoize {
-			e := m.ac.get(m.curKey)
+			e := m.ac.Get(m.curKey)
 			if e != nil {
 				if inj := m.opt.Inject.Arm(); inj != faults.InjNone {
 					m.injectFault(e, inj)
-					e = m.ac.get(m.curKey)
+					e = m.ac.Get(m.curKey)
 				}
 			}
 			if e != nil {
@@ -398,15 +399,15 @@ func (m *Machine) Run(maxSteps uint64) error {
 				m.fault(faults.CorruptKey, "unparseable step key at slow-path entry")
 				m.curKey = buildKey(m.argI, m.argQ)
 			}
-			ent = &centry{key: m.curKey}
-			sink = &recorder{m: m, ent: ent, tail: &ent.first}
+			ent = &memocache.Entry[node]{Key: m.curKey}
+			sink = &recorder{m: m, ent: ent, tail: &ent.First}
 		}
 		if err := m.runStepSlow(sink, nil); err != nil {
 			return err
 		}
 		if ent != nil {
-			m.ac.put(ent)
-			m.obs.Event(obs.EvStepRecorded, ent.bytes)
+			m.ac.Put(ent)
+			m.obs.Event(obs.EvStepRecorded, ent.Bytes)
 		}
 	}
 	return nil
@@ -428,7 +429,7 @@ type stepSink interface {
 // simulation.
 type recorder struct {
 	m    *Machine
-	ent  *centry // entry the recorded bytes are charged to
+	ent  *memocache.Entry[node] // entry the recorded bytes are charged to
 	tail **node
 	n    *node // node for the block currently executing
 }
@@ -439,8 +440,8 @@ func (r *recorder) enterBlock(bi int, blk *ir.Block) {
 		n.data = make([]int64, 0, blk.NPh)
 	}
 	*r.tail = n
-	r.tail = &n.next
-	r.m.ac.charge(r.ent, nodeBytes+uint64(cap(n.data))*valBytes)
+	r.tail = &n.Next
+	r.m.ac.Charge(r.ent, nodeBytes+uint64(cap(n.data))*valBytes)
 	r.n = n
 }
 
@@ -451,16 +452,14 @@ func (r *recorder) ph(di *ir.DynInst, vregs []int64) {
 // fork records a dynamic result v on the current node and redirects
 // recording into the new successor chain.
 func (r *recorder) fork(v int64) {
-	n := r.n
-	n.forks = append(n.forks, nfork{val: v})
-	r.tail = &n.forks[len(n.forks)-1].next
-	r.m.ac.charge(r.ent, forkBytes)
+	r.tail = r.n.AddFork(uint64(v))
+	r.m.ac.Charge(r.ent, memocache.ForkBytes)
 }
 
 func (r *recorder) ret(key string) {
 	if r.n != nil {
-		r.n.nextKey = key
-		r.m.ac.charge(r.ent, uint64(len(key)))
+		r.n.NextKey = key
+		r.m.ac.Charge(r.ent, uint64(len(key)))
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"facile/internal/memocache"
 )
 
 func TestQueueFIFO(t *testing.T) {
@@ -122,45 +124,47 @@ func TestParseKeyRejectsCorrupt(t *testing.T) {
 }
 
 func TestActionCacheClearGeneration(t *testing.T) {
-	c := newACache(64, nil)
-	e1 := &centry{key: "a"}
-	c.put(e1)
-	if c.get("a") != e1 {
+	c := memocache.NewCache[node](64, nil)
+	e1 := &memocache.Entry[node]{Key: "a"}
+	c.Put(e1)
+	if c.Get("a") != e1 {
 		t.Fatal("lookup")
 	}
-	c.charge(e1, 1000) // exceed cap
-	e2 := &centry{key: "b"}
-	c.put(e2) // the overflowing put clears everything, e2 included
-	if c.get("a") != nil || c.get("b") != nil {
+	c.Charge(e1, 1000) // exceed cap
+	e2 := &memocache.Entry[node]{Key: "b"}
+	c.Put(e2) // the overflowing put clears everything, e2 included
+	if c.Get("a") != nil || c.Get("b") != nil {
 		t.Fatal("clear-when-full must evict every entry, the overflowing one included")
 	}
-	if c.g.Gen != e1.gen+1 {
-		t.Fatalf("generation not bumped: %d -> %d", e1.gen, c.g.Gen)
+	if c.G.Gen != e1.Gen+1 {
+		t.Fatalf("generation not bumped: %d -> %d", e1.Gen, c.G.Gen)
 	}
-	if c.g.Clears != 1 {
-		t.Fatalf("clears = %d", c.g.Clears)
+	if c.G.Clears != 1 {
+		t.Fatalf("clears = %d", c.G.Clears)
 	}
-	e3 := &centry{key: "c"}
-	c.put(e3) // fits in the freshly cleared cache
-	if c.get("c") != e3 {
+	e3 := &memocache.Entry[node]{Key: "c"}
+	c.Put(e3) // fits in the freshly cleared cache
+	if c.Get("c") != e3 {
 		t.Fatal("post-clear insert missing")
 	}
-	if e3.gen != e1.gen+1 {
-		t.Fatalf("post-clear generation: %d -> %d", e1.gen, e3.gen)
+	if e3.Gen != e1.Gen+1 {
+		t.Fatalf("post-clear generation: %d -> %d", e1.Gen, e3.Gen)
 	}
 }
 
 func TestFindFork(t *testing.T) {
+	// rt stores a signed dynamic result as its two's-complement bits.
+	neg := int64(-3)
 	n := &node{}
-	n.forks = append(n.forks, nfork{val: 7, next: &node{blockID: 1}})
-	n.forks = append(n.forks, nfork{val: -3, next: &node{blockID: 2}})
-	if f, ok := n.findFork(7); !ok || f.blockID != 1 {
+	*n.AddFork(7) = &node{blockID: 1}
+	*n.AddFork(uint64(neg)) = &node{blockID: 2}
+	if f, ok := n.FindFork(7); !ok || f.blockID != 1 {
 		t.Fatal("fork 7")
 	}
-	if f, ok := n.findFork(-3); !ok || f.blockID != 2 {
+	if f, ok := n.FindFork(uint64(neg)); !ok || f.blockID != 2 {
 		t.Fatal("fork -3")
 	}
-	if _, ok := n.findFork(0); ok {
+	if _, ok := n.FindFork(0); ok {
 		t.Fatal("phantom fork")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"facile/internal/lang/ir"
 	"facile/internal/lang/token"
 	"facile/internal/lang/types"
+	"facile/internal/memocache"
 	"facile/internal/obs"
 )
 
@@ -25,11 +26,11 @@ import (
 //     the node's data fill the placeholder window, so it always fits. A
 //     fused run holds only nodes that passed the same checks.
 //   - A step-end node's successor key is vetted by validKey once per
-//     owning entry version (node.keyVer against centry.keyMark). Untrusted
+//     owning entry version (node.keyVer against Entry.KeyMark). Untrusted
 //     bytes enter only through warm load (LoadWarmCache builds fresh,
 //     unvetted nodes), snapshot restore (LoadState vets the step key; the
-//     action cache is not restored) and fault injection (which bumps cver);
-//     invalidation bumps cver too. Each of those forces a re-vet. In-memory
+//     action cache is not restored) and fault injection (which bumps CVer);
+//     invalidation bumps CVer too. Each of those forces a re-vet. In-memory
 //     adoption (AdoptCache) hands over nodes this process recorded, marks
 //     included.
 //   - CallExt and QPush pass their arguments in the machine's scratch slice
@@ -49,11 +50,11 @@ import (
 // (degradeStep / rekeyStep). m.nodes tracks how many action nodes the
 // replay completed this step, so the degraded re-run knows exactly where to
 // switch from skipping already-applied dynamic work to running live.
-func (m *Machine) replayFrom(e *centry, maxSteps uint64) error {
-	m.stepKey = e.key
+func (m *Machine) replayFrom(e *memocache.Entry[node], maxSteps uint64) error {
+	m.stepKey = e.Key
 	m.path = m.path[:0]
 	m.nodes = 0
-	n := e.first
+	n := e.First
 	for {
 		if n == nil {
 			// Recording always seals a step with a DTRet node; a nil link
@@ -63,13 +64,13 @@ func (m *Machine) replayFrom(e *centry, maxSteps uint64) error {
 		}
 		// Run the fused run headed at n — a pre-validated straight-line run
 		// of DTNone nodes — in one go. It is built lazily per head node and
-		// discarded whenever the entry's cver moves (injection,
+		// discarded whenever the entry's CVer moves (injection,
 		// invalidation).
 		fr := n.fused
-		if fr == nil || n.fusedVer != e.cver {
+		if fr == nil || n.fusedVer != e.CVer {
 			fr = m.buildFused(n)
 			n.fused = fr
-			n.fusedVer = e.cver
+			n.fusedVer = e.CVer
 			if len(fr.steps) > 0 {
 				m.cFusedRuns.Inc()
 			}
@@ -123,7 +124,7 @@ func (m *Machine) replayFrom(e *centry, maxSteps uint64) error {
 		m.stats.FastOps += uint64(len(blk.Dyn))
 		switch blk.DynTerm {
 		case ir.DTNone:
-			n = n.next
+			n = n.Next
 			m.nodes++
 		case ir.DTBr:
 			v := int64(0)
@@ -131,7 +132,7 @@ func (m *Machine) replayFrom(e *centry, maxSteps uint64) error {
 				v = 1
 			}
 			m.path = append(m.path, v)
-			next, ok := n.findFork(v)
+			next, ok := n.FindFork(uint64(v))
 			if !ok {
 				return m.missRecover(n, e)
 			}
@@ -140,7 +141,7 @@ func (m *Machine) replayFrom(e *centry, maxSteps uint64) error {
 		case ir.DTSetArg, ir.DTPin:
 			v := m.vregs[blk.TermSrc.VReg]
 			m.path = append(m.path, v)
-			next, ok := n.findFork(v)
+			next, ok := n.FindFork(uint64(v))
 			if !ok {
 				return m.missRecover(n, e)
 			}
@@ -150,18 +151,18 @@ func (m *Machine) replayFrom(e *centry, maxSteps uint64) error {
 			// Vet the recorded successor key before adopting it: a corrupt
 			// key caught here is recoverable (rekeyStep rebuilds it from the
 			// replayed path); one caught after adoption is not. A key already
-			// vetted at the entry's current cver is not parsed again.
-			if n.keyVer != e.keyMark() {
-				if !validKey(n.nextKey, len(m.argI), m.argQ) {
+			// vetted at the entry's current CVer is not parsed again.
+			if n.keyVer != e.KeyMark() {
+				if !validKey(n.NextKey, len(m.argI), m.argQ) {
 					m.fault(faults.CorruptKey, "recorded successor key does not parse")
 					return m.rekeyStep(e)
 				}
-				n.keyVer = e.keyMark()
+				n.keyVer = e.KeyMark()
 			}
 			m.stats.Replays++
 			m.obs.Event(obs.EvStepReplayed, m.nodes)
 			m.hStepNodes.Observe(m.nodes)
-			m.curKey = n.nextKey
+			m.curKey = n.NextKey
 			m.path = m.path[:0]
 			m.nodes = 0
 			if m.stop != nil && m.stop(m) {
@@ -177,19 +178,19 @@ func (m *Machine) replayFrom(e *centry, maxSteps uint64) error {
 				// back instead of following the link directly.
 				return nil
 			}
-			if n.link == nil || n.linkGen != m.ac.g.Gen {
-				le := m.ac.get(n.nextKey)
+			if n.Link == nil || n.LinkGen != m.ac.G.Gen {
+				le := m.ac.Get(n.NextKey)
 				if le == nil {
 					// step-boundary miss: Run's loop restores the slow
 					// simulator from curKey
 					return nil
 				}
-				n.link = le
-				n.linkGen = m.ac.g.Gen
+				n.Link = le
+				n.LinkGen = m.ac.G.Gen
 			}
-			e = n.link
-			m.stepKey = e.key
-			n = e.first
+			e = n.Link
+			m.stepKey = e.Key
+			n = e.First
 		default:
 			m.fault(faults.BadAction,
 				fmt.Sprintf("unknown dynamic terminal %d", blk.DynTerm))
@@ -204,7 +205,7 @@ func (m *Machine) replayFrom(e *centry, maxSteps uint64) error {
 // mode consuming the replayed path. A recovery that disagrees with the
 // replayed path (overrun or incomplete consumption) is a fault: the entry
 // is invalidated and the half-recorded fork is dropped.
-func (m *Machine) missRecover(n *node, e *centry) error {
+func (m *Machine) missRecover(n *node, e *memocache.Entry[node]) error {
 	if len(m.path) == 0 {
 		// Defensive: every dynamic-result terminator appends its value to
 		// m.path before the fork lookup, so an empty path here means the
@@ -221,9 +222,9 @@ func (m *Machine) missRecover(n *node, e *centry) error {
 		return m.degradeLost(e, "unparseable entry key at miss recovery")
 	}
 	v := m.path[len(m.path)-1]
-	n.forks = append(n.forks, nfork{val: v})
-	m.ac.charge(e, forkBytes)
-	rec := &recorder{m: m, ent: e, tail: &n.forks[len(n.forks)-1].next}
+	tail := n.AddFork(uint64(v))
+	m.ac.Charge(e, memocache.ForkBytes)
+	rec := &recorder{m: m, ent: e, tail: tail}
 	cur := &rcursor{path: m.path}
 	if err := m.runStepSlow(rec, cur); err != nil {
 		return err
@@ -236,10 +237,10 @@ func (m *Machine) missRecover(n *node, e *centry) error {
 			detail = "recovery cursor overran the replayed path"
 		}
 		m.fault(kind, detail)
-		m.ac.invalidate(e)
+		m.ac.Invalidate(e)
 		m.stats.DegradedSteps++
 		// Drop the half-recorded fork so the dead entry can't replay it.
-		n.forks = n.forks[:len(n.forks)-1]
+		n.Forks = n.Forks[:len(n.Forks)-1]
 	}
 	return nil
 }
@@ -250,9 +251,9 @@ func (m *Machine) missRecover(n *node, e *centry) error {
 // the dynamic blocks the replay already completed, consuming the dynamic
 // values it produced, and going live at the fault point — so the step
 // finishes on the always-correct slow path, unrecorded.
-func (m *Machine) degradeStep(e *centry) error {
+func (m *Machine) degradeStep(e *memocache.Entry[node]) error {
 	m.stats.DegradedSteps++
-	m.ac.invalidate(e)
+	m.ac.Invalidate(e)
 	if !parseKey(m.stepKey, m.argI, m.argQ) {
 		m.fault(faults.CorruptKey, "unparseable entry key during degradation")
 		return m.runStepSlow(nil, nil)
@@ -278,9 +279,9 @@ func (m *Machine) degradeStep(e *centry) error {
 // static code recomputes the argument state, the replayed path supplies the
 // dynamic results, and the Ret rebuilds the successor key the recording
 // lost.
-func (m *Machine) rekeyStep(e *centry) error {
+func (m *Machine) rekeyStep(e *memocache.Entry[node]) error {
 	m.stats.DegradedSteps++
-	m.ac.invalidate(e)
+	m.ac.Invalidate(e)
 	if !parseKey(m.stepKey, m.argI, m.argQ) {
 		m.fault(faults.CorruptKey, "unparseable entry key during rekey")
 		return m.runStepSlow(nil, nil)
@@ -300,9 +301,9 @@ func (m *Machine) rekeyStep(e *centry) error {
 // finish the step live from the current (possibly stale) arguments rather
 // than crash. Unreachable unless cache memory is corrupted between
 // validation and use.
-func (m *Machine) degradeLost(e *centry, detail string) error {
+func (m *Machine) degradeLost(e *memocache.Entry[node], detail string) error {
 	m.fault(faults.CorruptKey, detail)
-	m.ac.invalidate(e)
+	m.ac.Invalidate(e)
 	m.stats.DegradedSteps++
 	return m.runStepSlow(nil, nil)
 }

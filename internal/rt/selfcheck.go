@@ -5,6 +5,7 @@ import (
 
 	"facile/internal/faults"
 	"facile/internal/lang/ir"
+	"facile/internal/memocache"
 	"facile/internal/obs"
 )
 
@@ -31,7 +32,7 @@ const (
 // unrecorded.
 type rchecker struct {
 	m       *Machine
-	ent     *centry
+	ent     *memocache.Entry[node]
 	cur     *node
 	di      int  // compare index into cur.data
 	entered bool // enterBlock seen at least once
@@ -45,7 +46,7 @@ func (c *rchecker) diverge(detail string) {
 	m.fault(faults.SelfCheckDivergence, detail)
 	m.stats.SelfCheckDivergences++
 	m.stats.DegradedSteps++
-	m.ac.invalidate(c.ent)
+	m.ac.Invalidate(c.ent)
 	c.mode = scLive
 }
 
@@ -58,7 +59,7 @@ func (c *rchecker) enterBlock(bi int, blk *ir.Block) {
 		return
 	}
 	if c.entered && !c.moved {
-		c.cur = c.cur.next
+		c.cur = c.cur.Next
 	}
 	c.entered = true
 	c.moved = false
@@ -121,7 +122,7 @@ func (c *rchecker) fork(v int64) {
 		return
 	}
 	n := c.cur
-	next, ok := n.findFork(v)
+	next, ok := n.FindFork(uint64(v))
 	if ok {
 		c.cur = next
 		c.moved = true
@@ -131,9 +132,9 @@ func (c *rchecker) fork(v int64) {
 	// recovery would (the slow run is already producing the new path).
 	c.m.stats.Misses++
 	c.m.obs.Event(obs.EvMidStepMiss, 0)
-	n.forks = append(n.forks, nfork{val: v})
-	c.m.ac.charge(c.ent, forkBytes)
-	c.rec = &recorder{m: c.m, ent: c.ent, tail: &n.forks[len(n.forks)-1].next}
+	tail := n.AddFork(uint64(v))
+	c.m.ac.Charge(c.ent, memocache.ForkBytes)
+	c.rec = &recorder{m: c.m, ent: c.ent, tail: tail}
 	c.mode = scRecord
 }
 
@@ -150,18 +151,18 @@ func (c *rchecker) ret(key string) {
 		c.diverge("live step ended past the recorded chain")
 		return
 	}
-	if n.nextKey != key {
+	if n.NextKey != key {
 		c.diverge("recorded successor key disagrees with live step")
 	}
 }
 
 // selfCheckStep re-executes one replayable step on the slow simulator with
 // the verifying sink attached.
-func (m *Machine) selfCheckStep(e *centry) error {
+func (m *Machine) selfCheckStep(e *memocache.Entry[node]) error {
 	m.stats.SelfChecks++
 	if !parseKey(m.curKey, m.argI, m.argQ) {
 		return m.degradeLost(e, "unparseable step key at self-check")
 	}
-	ck := &rchecker{m: m, ent: e, cur: e.first}
+	ck := &rchecker{m: m, ent: e, cur: e.First}
 	return m.runStepSlow(ck, nil)
 }

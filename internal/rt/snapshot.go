@@ -74,9 +74,9 @@ func (m *Machine) SaveState(w *snapshot.Writer) {
 	w.U64(m.stats.WatchdogTrips)
 	w.U64(m.stats.SelfChecks)
 	w.U64(m.stats.SelfCheckDivergences)
-	w.U64(m.ac.g.TotalBytes)
-	w.U64(m.ac.g.Clears)
-	w.U64(m.ac.g.Invalidations)
+	w.U64(m.ac.G.TotalBytes)
+	w.U64(m.ac.G.Clears)
+	w.U64(m.ac.G.Invalidations)
 }
 
 // LoadState restores a machine built from the same compiled program. The
@@ -153,9 +153,9 @@ func (m *Machine) LoadState(r *snapshot.Reader) error {
 	m.stats.WatchdogTrips = r.U64()
 	m.stats.SelfChecks = r.U64()
 	m.stats.SelfCheckDivergences = r.U64()
-	m.ac.g.TotalBytes = r.U64()
-	m.ac.g.Clears = r.U64()
-	m.ac.g.Invalidations = r.U64()
+	m.ac.G.TotalBytes = r.U64()
+	m.ac.G.Clears = r.U64()
+	m.ac.G.Invalidations = r.U64()
 	if err := r.Err(); err != nil {
 		return err
 	}

@@ -1,68 +1,51 @@
 package rt
 
-// Warm-cache sharing for the Facile rt machines, mirroring
-// internal/arch/fastsim: the specialized action cache is re-derivable
-// acceleration state, so a finished machine's cache can seed a fresh
-// machine running the same compiled description over the same program and
-// options. Ownership of a WarmCache transfers on AdoptCache; it must never
-// be adopted twice.
+import (
+	"facile/internal/memocache"
+	"facile/internal/snapshot"
+)
 
-// WarmCache is a detached rt action cache.
-type WarmCache struct {
-	m     map[string]*centry
-	bytes uint64
-	gen   uint64
-}
+// WarmCache is a detached rt action cache: it can seed a fresh machine
+// running the same compiled description over the same program and options.
+type WarmCache = memocache.Warm[node]
 
-// Entries reports the number of cached entries.
-func (wc *WarmCache) Entries() uint64 {
-	if wc == nil {
-		return 0
-	}
-	return uint64(len(wc.m))
-}
+// WarmFormatVersion identifies the serialized node layout. Bump it on any
+// change to the node struct's persisted fields.
+const WarmFormatVersion = 1
 
-// Bytes reports the occupancy charged for the cached entries.
-func (wc *WarmCache) Bytes() uint64 {
-	if wc == nil {
-		return 0
-	}
-	return wc.bytes
-}
-
-// DetachCache removes and returns the machine's action cache, leaving an
-// empty cache behind (occupancy refunded, monotonic totals kept). Returns
-// nil when the cache holds nothing.
-func (m *Machine) DetachCache() *WarmCache {
-	if len(m.ac.m) == 0 {
+// warmCodec writes a node's block ID and placeholder data; the shared walk
+// writes its links.
+var warmCodec = memocache.Codec[node]{
+	Engine:  "rt",
+	Version: WarmFormatVersion,
+	Links:   func(n *node) *memocache.Links[node] { return &n.Links },
+	Save: func(w *snapshot.Writer, n *node) {
+		w.I64(int64(n.blockID))
+		w.I64s(n.data)
+	},
+	Load: func(r *snapshot.Reader, n *node) error {
+		n.blockID = int32(r.I64())
+		n.data = r.I64s()
 		return nil
-	}
-	wc := &WarmCache{m: m.ac.m, bytes: m.ac.g.Bytes, gen: m.ac.g.Gen}
-	m.ac.m = make(map[string]*centry)
-	m.ac.g.Refund(m.ac.g.Bytes)
-	return wc
+	},
 }
 
-// AdoptCache installs a previously detached cache into a machine that has
-// not stepped yet. The caller must guarantee wc was built by the same
-// compiled description over the same program and cap. Refuses a nil/empty
-// cache, a cache exceeding this machine's cap, or a machine that already
-// ran. Adopted occupancy counts toward clear-when-full but not toward this
-// run's TotalMemoBytes.
+// DetachCache removes and returns the machine's action cache (see
+// memocache.Cache.Detach).
+func (m *Machine) DetachCache() *WarmCache { return m.ac.Detach(&warmCodec) }
+
+// AdoptCache installs a detached cache into a machine that has not
+// stepped yet (see memocache.Cache.Adopt). The caller must guarantee wc was
+// built by the same compiled description over the same program and cap.
 func (m *Machine) AdoptCache(wc *WarmCache) bool {
-	if wc == nil || len(wc.m) == 0 || len(m.ac.m) != 0 {
-		return false
-	}
-	if m.ac.g.CapBytes > 0 && wc.bytes > m.ac.g.CapBytes {
-		return false
-	}
 	if m.stats.SlowSteps != 0 || m.stats.Replays != 0 {
 		return false
 	}
-	m.ac.m = wc.m
-	m.ac.g.Bytes = wc.bytes
-	m.ac.g.Gen = wc.gen
-	wc.m = nil
-	wc.bytes = 0
-	return true
+	return m.ac.Adopt(wc)
+}
+
+// LoadWarmCache reconstructs a detached cache from its serialized form
+// (see memocache.LoadWarm).
+func LoadWarmCache(r *snapshot.Reader) (*WarmCache, error) {
+	return memocache.LoadWarm(r, &warmCodec)
 }
