@@ -72,9 +72,9 @@ func TestFusedStateDiscardedOnCverBump(t *testing.T) {
 		t.Fatal("invalidate did not bump CVer; stale fused state would survive")
 	}
 	a.fusedVer = e.CVer
-	s.injectFault(e, faults.InjFlipFork)
+	s.g.Corrupt(e, faults.InjFlipFork)
 	if a.fusedVer == e.CVer {
-		t.Fatal("injectFault did not bump CVer; stale fused state would survive")
+		t.Fatal("Corrupt did not bump CVer; stale fused state would survive")
 	}
 }
 

@@ -123,7 +123,7 @@ type engine struct {
 	// and the engine halts rather than livelocking through an endless
 	// sequence of watchdog-bounded steps.
 	maxStepCycles uint64
-	wdTrips       uint64
+	wdTrips       *uint64 // the Sim's watchdog counter
 
 	// dynamic machine components, owned here but touched only via sinks
 	// or the replayer:
@@ -223,7 +223,7 @@ func (e *engine) runStep(s sink) int {
 		}
 		cycles++
 		if e.maxStepCycles > 0 && cycles >= e.maxStepCycles {
-			e.wdTrips++
+			*e.wdTrips++
 			if committed == 0 {
 				e.haltSeen = true
 			}

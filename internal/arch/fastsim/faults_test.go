@@ -2,6 +2,7 @@ package fastsim
 
 import (
 	"bytes"
+	"math/rand/v2"
 	"testing"
 
 	"facile/internal/arch/funcsim"
@@ -232,5 +233,53 @@ func TestWatchdogBoundsReplayActions(t *testing.T) {
 	}
 	if st.WatchdogTrips == 0 || st.DegradedSteps == 0 {
 		t.Errorf("expected watchdog trips to degrade steps: %+v", st)
+	}
+}
+
+// TestGeneratedFaultSchedules runs each fault workload under generated
+// fault schedules: per seed, a non-empty random subset of the injection
+// kinds, an injection period of 1..8 replay opportunities, and
+// self-checking off or at a random rate. Every run must end bit-identical
+// to a clean memoizing run — output, exit status, instructions, cycles and the final pipeline
+// key — with the gauge equal to the surviving entries' bytes. Successor-key
+// truncation is left out of the draw: fastsim recovers from it by draining
+// the pipeline, which keeps the architectural results but not the timing
+// (see TestInjectedFaultRecovery).
+func TestGeneratedFaultSchedules(t *testing.T) {
+	kinds := []faults.Injection{faults.InjBreakChain, faults.InjFlipFork, faults.InjGenBump}
+	for _, w := range faultWorkloads {
+		p := asmOrDie(t, w.src)
+		clean := New(uarch.Default(), p, Options{Memoize: true})
+		want := clean.Run(0)
+		wantKey := clean.eng.snapshotKey()
+		for seed := uint64(1); seed <= 20; seed++ {
+			r := rand.New(rand.NewPCG(seed, 0))
+			var set []faults.Injection
+			for len(set) == 0 {
+				for _, k := range kinds {
+					if r.IntN(2) == 0 {
+						set = append(set, k)
+					}
+				}
+			}
+			sc := 0.0
+			if r.IntN(2) == 0 {
+				sc = r.Float64()
+			}
+			ij := faults.NewInjector(seed, 1+r.Uint64N(8), set...)
+			s := New(uarch.Default(), p, Options{Memoize: true, Inject: ij, SelfCheck: sc})
+			got := s.Run(0)
+			if !bytes.Equal(got.Output, want.Output) || got.ExitStatus != want.ExitStatus ||
+				got.Insts != want.Insts || got.Cycles != want.Cycles || s.eng.snapshotKey() != wantKey {
+				t.Errorf("%s seed %d (%v, self-check %.2f): insts %d cycles %d exit %d, clean run %d %d %d",
+					w.name, seed, set, sc, got.Insts, got.Cycles, got.ExitStatus, want.Insts, want.Cycles, want.ExitStatus)
+			}
+			if st := s.Stats(); st.CacheBytes != sumEntryBytes(s.ac) {
+				t.Errorf("%s seed %d: occupancy %d != entries' bytes %d", w.name, seed, st.CacheBytes, sumEntryBytes(s.ac))
+			}
+			if ij.Fired() == 0 {
+				t.Errorf("%s seed %d: injector never fired", w.name, seed)
+			}
+		}
 	}
 }

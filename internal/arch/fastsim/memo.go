@@ -47,6 +47,19 @@ type action struct {
 	fusedVer uint64
 }
 
+// payload describes actions to the fault layer. Links into and out of an
+// aEnd are not severed, so a broken chain always leaves some of the step's
+// operations unreplayed.
+var payload = memocache.Payload[action]{
+	Engine: "fastsim",
+	Links:  func(a *action) *memocache.Links[action] { return &a.Links },
+	Same: func(a, b *action) bool {
+		return a.kind == b.kind && a.flags == b.flags && a.cls == b.cls && a.slot == b.slot &&
+			a.dcyc == b.dcyc && a.pc == b.pc && a.in == b.in
+	},
+	Severable: func(a *action) bool { return a.kind != aEnd && a.Next.kind != aEnd },
+}
+
 // Approximate byte accounting for Table 2. We charge the in-memory cost of
 // each node rather than a serialized form; the paper's absolute megabyte
 // counts depended on its binary format, so EXPERIMENTS.md compares shapes,
@@ -69,12 +82,8 @@ type Stats struct {
 	FastForwardedPc float64 // percentage of instructions fast-forwarded
 
 	// Fault recovery and graceful degradation.
-	Faults               uint64 // invariant violations recovered on the fast path
-	Invalidations        uint64 // cache entries discarded by fault recovery
-	DegradedSteps        uint64 // steps abandoned mid-replay and re-run slow
-	WatchdogTrips        uint64 // runaway-step watchdog activations
-	SelfChecks           uint64 // replayable steps re-executed slow for checking
-	SelfCheckDivergences uint64 // self-checks that disagreed with the cache
+	memocache.FaultStats
+	Invalidations uint64 // cache entries discarded by fault recovery
 }
 
 // Options configures a fast-forwarding simulator.
@@ -95,8 +104,7 @@ type Options struct {
 	// fault: the entry is invalidated and the step finishes slow. Because
 	// the checked step runs entirely on the always-correct slow path,
 	// self-checking never perturbs cycle counts.
-	SelfCheck     float64
-	SelfCheckSeed uint64 // sampling PRNG seed (0 = fixed default)
+	SelfCheck float64
 
 	// Inject, when non-nil, deterministically corrupts cache entries just
 	// before replay so tests can drive every recovery path on demand.
@@ -131,6 +139,7 @@ type Sim struct {
 	eng  *engine
 	opt  Options
 	ac   *memocache.Cache[action]
+	g    memocache.Guard[action] // fault log, injection, self-check sampling
 
 	// Dynamic global state shared between the fast and slow simulators
 	// (the paper's global-variable channel): per-slot effective addresses
@@ -166,14 +175,6 @@ type Sim struct {
 	replays   uint64
 	misses    uint64
 	keyMisses uint64
-
-	scState    uint64 // self-check sampling PRNG
-	faultCount uint64
-	degraded   uint64
-	wdTrips    uint64
-	selfChecks uint64
-	scDiverged uint64
-	lastFault  *faults.Fault
 
 	// interp selects the action-at-a-time replay interpreter instead of the
 	// compiled closure-array substrate (see compile.go). The two are
@@ -216,13 +217,10 @@ func New(cfg uarch.Config, prog *loader.Program, opt Options) *Sim {
 		ringMask:   uint32(ring - 1),
 		engineLive: true,
 		lastNPC:    prog.Entry,
-		scState:    opt.SelfCheckSeed,
 		obs:        opt.Obs,
 	}
-	if s.scState == 0 {
-		s.scState = 0xD1B54A32D192ED03
-	}
-	s.eng.maxStepCycles = opt.MaxStepCycles
+	s.g = memocache.NewGuard(s.ac, &payload, opt.Inject, opt.SelfCheck)
+	s.eng.maxStepCycles, s.eng.wdTrips = opt.MaxStepCycles, &s.g.WatchdogTrips
 	reg := opt.Obs.Registry()
 	s.hStepActs = reg.Histogram("fastsim.replay_actions_per_step")
 	s.hEntrySize = reg.Histogram("fastsim.entry_bytes")
@@ -284,13 +282,8 @@ func (s *Sim) Stats() Stats {
 		TotalMemoBytes:  s.ac.G.TotalBytes,
 		CacheClears:     s.ac.G.Clears,
 		FastForwardedPc: pct,
-
-		Faults:               s.faultCount,
-		Invalidations:        s.ac.G.Invalidations,
-		DegradedSteps:        s.degraded,
-		WatchdogTrips:        s.wdTrips + s.eng.wdTrips,
-		SelfChecks:           s.selfChecks,
-		SelfCheckDivergences: s.scDiverged,
+		FaultStats:      s.g.FaultStats,
+		Invalidations:   s.ac.G.Invalidations,
 	}
 }
 
@@ -342,45 +335,27 @@ func (s *Sim) Run(maxInsts uint64) uarch.Result {
 			if s.engineLive {
 				key = s.eng.snapshotKey()
 			}
-			if e := s.ac.Get(key); e != nil {
-				if inj := s.opt.Inject.Arm(); inj != faults.InjNone {
-					s.injectFault(e, inj)
-					if e = s.ac.Get(key); e == nil {
-						// The injection cleared the cache out from under us;
-						// treat it as the key miss it now is.
-						if !s.engineLive {
-							s.keyMisses++
-							s.obs.Event(obs.EvKeyMiss, uint64(len(key)))
-							s.restoreEngine()
-						}
-						goto slow
-					}
+			if e, check := s.g.Lookup(key); e == nil {
+				if !s.engineLive {
+					s.keyMisses++
+					s.obs.Event(obs.EvKeyMiss, uint64(len(key)))
+					s.restoreEngine()
 				}
-				if s.selfCheckDue() {
-					restored := true
-					if !s.engineLive {
-						restored = s.restoreEngine()
-					}
-					if restored {
-						s.selfCheckStep(e)
-						continue
-					}
-					// Corrupt step key: the drain reset already put the
-					// engine back on the architectural stream; run slow.
-				} else {
-					if s.engineLive {
-						s.beginReplay(key)
-					}
-					s.replayFrom(e, maxInsts)
+			} else if check {
+				if s.engineLive || s.restoreEngine() {
+					s.selfCheckStep(e)
 					continue
 				}
-			} else if !s.engineLive {
-				s.keyMisses++
-				s.obs.Event(obs.EvKeyMiss, uint64(len(key)))
-				s.restoreEngine()
+				// Corrupt step key: the drain reset already put the engine
+				// back on the architectural stream; run slow.
+			} else {
+				if s.engineLive {
+					s.beginReplay(key)
+				}
+				s.replayFrom(e, maxInsts)
+				continue
 			}
 		}
-	slow:
 		s.runStepSlow()
 	}
 	st := s.eng.st
@@ -416,7 +391,7 @@ func (s *Sim) restoreEngine() bool {
 		return s.ringAddr[j], s.ringNPC[j]
 	}
 	if err := s.eng.restoreFromKey(s.curKey, getSlot, s.startCycle); err != nil {
-		s.fault(faults.CorruptKey, err.Error())
+		s.g.Fault(faults.CorruptKey, err.Error())
 		s.drainReset()
 		return false
 	}
@@ -446,39 +421,8 @@ func (s *Sim) drainReset() {
 	}
 }
 
-// fault records one recovered invariant violation.
-func (s *Sim) fault(kind faults.Kind, detail string) {
-	s.faultCount++
-	s.lastFault = faults.New(kind, "fastsim", detail)
-	s.obs.EventDetail(obs.EvFault, 0, kind.String())
-}
-
 // LastFault returns the most recently recovered fault, if any.
-func (s *Sim) LastFault() *faults.Fault { return s.lastFault }
-
-// stepHook reports whether per-step policies (fault injection, self-check
-// sampling) require the Run loop to mediate every step boundary instead of
-// letting the replayer chain entries directly.
-func (s *Sim) stepHook() bool {
-	return s.opt.Inject != nil || s.opt.SelfCheck > 0
-}
-
-// selfCheckDue samples the configured self-check fraction.
-func (s *Sim) selfCheckDue() bool {
-	f := s.opt.SelfCheck
-	if f <= 0 {
-		return false
-	}
-	if f >= 1 {
-		return true
-	}
-	x := s.scState
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	s.scState = x
-	return float64(x>>11)/(1<<53) < f
-}
+func (s *Sim) LastFault() *faults.Fault { return s.g.Last }
 
 // runStepSlow runs one step of the slow/complete simulator, recording its
 // actions into a fresh cache entry (when memoizing).
@@ -518,16 +462,25 @@ func (s *Sim) finishSlowStep(rec *recorder, ent *memocache.Entry[action]) {
 
 // --- recorder: normal slow simulation ------------------------------------
 
+// recorder records a slow step's actions into a cache entry. On a
+// self-checked step (chk non-nil) it builds the same actions but matches
+// each against the entry's recorded chain instead, until the walk forks off
+// the chain and hands it the new fork to record into (see memocache.Verify).
 type recorder struct {
 	s         *Sim
 	ent       *memocache.Entry[action] // entry the recorded bytes are charged to
 	tail      **action
 	lastCycle uint64
+	chk       *memocache.Verify[action]
 }
 
 func (r *recorder) emit(a *action) {
 	a.dcyc = uint32(r.s.eng.cycle - r.lastCycle)
 	r.lastCycle = r.s.eng.cycle
+	if r.chk.Checking() {
+		r.chk.Match(a)
+		return
+	}
 	*r.tail = a
 	r.tail = &a.Next
 	r.s.ac.Charge(r.ent, actionBytes)
@@ -536,6 +489,12 @@ func (r *recorder) emit(a *action) {
 // emitResult records a dynamic-result fork for value v on the (just
 // emitted) dynres action a and directs subsequent recording into it.
 func (r *recorder) emitResult(a *action, v uint64) {
+	if r.chk.Checking() {
+		if tail := r.chk.Fork(v); tail != nil {
+			r.tail = tail
+		}
+		return
+	}
 	r.tail = a.AddFork(v)
 	r.s.ac.Charge(r.ent, memocache.ForkBytes)
 }
@@ -600,6 +559,15 @@ func (r *recorder) shifted(k int) {
 	r.s.shiftSlots(k)
 	r.s.slowInsts += uint64(k)
 	r.emit(&action{kind: aShift, slot: uint16(k)})
+}
+
+// selfCheckStep re-executes one cached step on the slow simulator,
+// verifying its entry against the live run instead of replaying it.
+func (s *Sim) selfCheckStep(e *memocache.Entry[action]) {
+	s.steps++
+	rec := &recorder{s: s, ent: e, lastCycle: s.eng.cycle, chk: s.g.Check(e, &s.misses)}
+	s.eng.runStep(rec)
+	s.finishSlowStep(rec, nil)
 }
 
 // --- nopSink: memoization disabled ---------------------------------------

@@ -43,7 +43,7 @@ func (s *Sim) replayFrom(e *memocache.Entry[action], maxInsts uint64) {
 			}
 			// Recording always seals a live step with aEnd; a nil link
 			// mid-chain means the entry is corrupt.
-			s.fault(faults.BrokenChain, "nil action link before end of step")
+			s.g.Fault(faults.BrokenChain, "nil action link before end of step")
 			s.degradeStep(e)
 			return
 		}
@@ -89,9 +89,9 @@ func (s *Sim) replayFrom(e *memocache.Entry[action], maxInsts uint64) {
 		acts++
 		if acts > s.opt.MaxReplayActions {
 			// A cycle in a corrupted graph, or a runaway step.
-			s.fault(faults.WatchdogReplay,
+			s.g.Fault(faults.WatchdogReplay,
 				fmt.Sprintf("replayed %d actions in one step", acts))
-			s.wdTrips++
+			s.g.WatchdogTrips++
 			s.degradeStep(e)
 			return
 		}
@@ -194,7 +194,7 @@ func (s *Sim) replayFrom(e *memocache.Entry[action], maxInsts uint64) {
 			if maxInsts > 0 && s.slowInsts+s.fastInsts >= maxInsts {
 				return // Run's loop notices the budget; engine stays stale
 			}
-			if s.stepHook() {
+			if s.g.Hooked() {
 				// Fault injection / self-check sampling are per-step
 				// policies applied by the Run loop; hand each chained step
 				// back instead of following the link directly.
@@ -214,7 +214,7 @@ func (s *Sim) replayFrom(e *memocache.Entry[action], maxInsts uint64) {
 			a = e.First
 
 		default:
-			s.fault(faults.BadAction, fmt.Sprintf("unknown action kind %d", a.kind))
+			s.g.Fault(faults.BadAction, fmt.Sprintf("unknown action kind %d", a.kind))
 			s.degradeStep(e)
 			return
 		}
@@ -237,7 +237,7 @@ func (s *Sim) miss(a *action, e *memocache.Entry[action]) {
 		// fork) breaks. Recovery alignment needs the missing value, so this
 		// is a structural fault, not a value miss: degrade instead of
 		// panicking on untrusted cache data.
-		s.fault(faults.BrokenChain, "mid-step miss with no replayed dynamic values")
+		s.g.Fault(faults.BrokenChain, "mid-step miss with no replayed dynamic values")
 		s.degradeStep(e)
 		return
 	}
@@ -249,7 +249,7 @@ func (s *Sim) miss(a *action, e *memocache.Entry[action]) {
 		// Corrupt step key: recovery alignment is impossible. The drain
 		// reset already put the engine back on the architectural stream.
 		s.ac.Invalidate(e)
-		s.degraded++
+		s.g.DegradedSteps++
 		return
 	}
 	tail := a.AddFork(v)
@@ -264,9 +264,9 @@ func (s *Sim) miss(a *action, e *memocache.Entry[action]) {
 			kind = faults.RecoveryOverrun
 			detail = "recovery cursor overran the replayed path"
 		}
-		s.fault(kind, detail)
+		s.g.Fault(kind, detail)
 		s.ac.Invalidate(e)
-		s.degraded++
+		s.g.DegradedSteps++
 		// Drop the half-recorded fork so the dead entry can't replay it.
 		a.Forks = a.Forks[:len(a.Forks)-1]
 		s.finishSlowStep(nil, nil)
@@ -282,7 +282,7 @@ func (s *Sim) miss(a *action, e *memocache.Entry[action]) {
 // so the step finishes on the always-correct slow path.
 func (s *Sim) degradeStep(e *memocache.Entry[action]) {
 	s.steps++
-	s.degraded++
+	s.g.DegradedSteps++
 	s.ac.Invalidate(e)
 	if !s.restoreEngine() {
 		return // drained: the engine is already back on the live stream
@@ -299,7 +299,7 @@ func (s *Sim) degradeStep(e *memocache.Entry[action]) {
 	}
 	s.eng.runStep(rv)
 	if rv.overrun {
-		s.fault(faults.RecoveryOverrun, "degraded re-run overran the replayed path")
+		s.g.Fault(faults.RecoveryOverrun, "degraded re-run overran the replayed path")
 	}
 	s.finishSlowStep(nil, nil)
 }

@@ -85,7 +85,7 @@ func (s *Sim) SaveState(w *snapshot.Writer) error {
 	}
 	w.U64(s.lastNPC)
 	w.Bool(s.done)
-	w.U64(s.scState)
+	w.U64(s.g.SampleState)
 	w.U64(s.slowInsts + s.fastInsts)
 
 	w.BeginAux()
@@ -95,11 +95,7 @@ func (s *Sim) SaveState(w *snapshot.Writer) error {
 	w.U64(s.replays)
 	w.U64(s.misses)
 	w.U64(s.keyMisses)
-	w.U64(s.faultCount)
-	w.U64(s.degraded)
-	w.U64(s.wdTrips + s.eng.wdTrips)
-	w.U64(s.selfChecks)
-	w.U64(s.scDiverged)
+	s.g.SaveCounts(w)
 	w.U64(s.ac.G.TotalBytes)
 	w.U64(s.ac.G.Clears)
 	w.U64(s.ac.G.Invalidations)
@@ -159,7 +155,7 @@ func (s *Sim) LoadState(r *snapshot.Reader) error {
 	}
 	s.lastNPC = r.U64()
 	s.done = r.Bool()
-	s.scState = r.U64()
+	s.g.SampleState = r.U64()
 	total := r.U64()
 
 	s.slowInsts = r.U64()
@@ -168,11 +164,7 @@ func (s *Sim) LoadState(r *snapshot.Reader) error {
 	s.replays = r.U64()
 	s.misses = r.U64()
 	s.keyMisses = r.U64()
-	s.faultCount = r.U64()
-	s.degraded = r.U64()
-	s.wdTrips = r.U64()
-	s.selfChecks = r.U64()
-	s.scDiverged = r.U64()
+	s.g.LoadCounts(r)
 	s.ac.G.TotalBytes = r.U64()
 	s.ac.G.Clears = r.U64()
 	s.ac.G.Invalidations = r.U64()
@@ -184,7 +176,6 @@ func (s *Sim) LoadState(r *snapshot.Reader) error {
 			s.slowInsts, s.fastInsts, total)
 	}
 	e.cycle = s.cycle
-	e.wdTrips = 0
 	s.engineLive = true
 	s.startBase = s.base
 	s.startCycle = s.cycle

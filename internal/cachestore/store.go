@@ -257,7 +257,7 @@ func decode(blob []byte) (Meta, []byte, error) {
 	}
 	m.SavedAt = time.Unix(0, int64(r.U64()))
 	payload := r.Bytes()
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return Meta{}, nil, fmt.Errorf("record body: %v", err)
 	}
 	m.FileBytes = int64(len(blob))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -130,6 +131,20 @@ func TestCorruptionQuarantine(t *testing.T) {
 				t.Fatalf("re-save after quarantine (injector fires every save, but the write lands): %v", err)
 			}
 		})
+	}
+}
+
+// A record whose body holds bytes after the payload, under a CRC that
+// covers them, is rejected rather than decoded.
+func TestDecodeRejectsBytesAfterPayload(t *testing.T) {
+	blob := encode("k", "fastsim", "fp", 1, 2, time.Now(), []byte("payload"))
+	if _, _, err := decode(blob); err != nil {
+		t.Fatalf("clean record: %v", err)
+	}
+	body := append(blob[:len(blob)-4:len(blob)-4], 0xde, 0xad)
+	crc := crc32.Checksum(body, castagnoli)
+	if _, _, err := decode(append(body, byte(crc), byte(crc>>8), byte(crc>>16), byte(crc>>24))); err == nil {
+		t.Fatal("decode accepted a body with bytes after the payload")
 	}
 }
 

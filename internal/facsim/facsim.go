@@ -264,9 +264,8 @@ type Options struct {
 	// Fault tolerance (see rt.Options): SelfCheck re-executes a sampled
 	// fraction of replayable steps on the slow simulator for verification;
 	// Inject deterministically corrupts cache entries for testing.
-	SelfCheck     float64
-	SelfCheckSeed uint64
-	Inject        *faults.Injector
+	SelfCheck float64
+	Inject    *faults.Injector
 
 	// Obs, when non-nil, receives the underlying rt machine's memoization
 	// lifecycle and sampled time series (see rt.Options.Obs). SampleEvery
@@ -293,7 +292,6 @@ func (o Options) rtOptions() rt.Options {
 		Memoize:       o.Memoize,
 		CacheCapBytes: o.CacheCapBytes,
 		SelfCheck:     o.SelfCheck,
-		SelfCheckSeed: o.SelfCheckSeed,
 		Inject:        o.Inject,
 		Obs:           o.Obs,
 		SampleEvery:   o.SampleEvery,

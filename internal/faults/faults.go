@@ -92,7 +92,7 @@ func New(kind Kind, engine, detail string) *Fault {
 
 // Injection selects a corruption applied to a live action cache entry just
 // before it is replayed, so tests can drive every recovery path on demand.
-// The engines interpret each kind against their own cache structures.
+// memocache.Guard.Corrupt applies it, for both engines.
 type Injection uint8
 
 // Injection kinds.
@@ -103,8 +103,8 @@ const (
 	// InjFlipFork flips a recorded fork value, turning a previously seen
 	// dynamic result into an apparent first-time value.
 	InjFlipFork
-	// InjTruncate truncates recorded data: placeholder values in rt,
-	// the recorded successor key in fastsim.
+	// InjTruncate truncates recorded data: placeholder values or the
+	// step's successor key in rt, the successor key in fastsim.
 	InjTruncate
 	// InjGenBump clears the cache underneath an in-flight replay, as
 	// clear-when-full would, forcing the stale-generation handling.
@@ -158,11 +158,16 @@ func (ij *Injector) Arm() Injection {
 // Rand returns the next value of the injector's deterministic PRNG, for
 // engines to derive corruption parameters (severing depth, fork index).
 func (ij *Injector) Rand() uint64 {
-	x := ij.state
+	ij.state = XorShift(ij.state)
+	return ij.state
+}
+
+// XorShift advances a xorshift64 PRNG state: the injector's generator, and
+// the self-check sampler's.
+func XorShift(x uint64) uint64 {
 	x ^= x << 13
 	x ^= x >> 7
 	x ^= x << 17
-	ij.state = x
 	return x
 }
 

@@ -1,11 +1,21 @@
 // Package memocache is the specialized action cache both memoizing
-// engines share (internal/arch/fastsim and internal/rt): entries keyed by
-// run-time static state, fork links on dynamic results, the link from a
-// step's end to the next entry, byte accounting with clear-when-full,
-// in-memory hand-over of a finished run's cache (Detach, Adopt) and its
-// serialized form (Save, LoadWarm). It is generic over the engine's node
-// type; each engine keeps its node payload, recorders, replay executors
-// and recovery, and supplies the per-node field codec.
+// engines share (internal/arch/fastsim and internal/rt), generic over the
+// engine's node type. It owns:
+//
+//   - the cache: entries keyed by run-time static state, fork links on
+//     dynamic results, the link from a step's end to the next entry, and
+//     byte accounting with clear-when-full (Cache, Links, Gauge);
+//   - warm hand-over: a finished run's cache in memory (Detach, Adopt) and
+//     its serialized form (Save, LoadWarm);
+//   - the fault layer (Guard): the fault log and counters, the injection
+//     and self-check sampling policies the engines' Run loops apply at each
+//     step boundary (Lookup), the corrupter injection drives (Corrupt), and
+//     the verify walk of a self-checked step (Verify).
+//
+// Each engine keeps its node payload, recorders, replay executors and
+// recovery, and describes its nodes to the package: a field codec for the
+// warm stream (Codec) and, for the fault layer, a field comparison and the
+// two corruption hooks where payloads differ (Payload).
 package memocache
 
 // Gauge tracks a cache's byte occupancy against an optional cap and

@@ -2,6 +2,7 @@ package rt
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"facile/internal/memocache"
 )
@@ -31,6 +32,23 @@ type node struct {
 	// explicitly — and rebuilt lazily after warm adoption.
 	fused    *fusedRun
 	fusedVer uint64
+}
+
+// payload describes nodes to the fault layer: a block ID and placeholder
+// data, which fault injection may truncate.
+var payload = memocache.Payload[node]{
+	Engine: "rt",
+	Links:  func(n *node) *memocache.Links[node] { return &n.Links },
+	Same: func(a, b *node) bool {
+		return a.blockID == b.blockID && slices.Equal(a.data, b.data)
+	},
+	TruncData: func(n *node) bool {
+		if len(n.data) == 0 {
+			return false
+		}
+		n.data = n.data[:len(n.data)/2]
+		return true
+	},
 }
 
 // Byte-accounting model for the cache-size cap and the Table 2 metric; the

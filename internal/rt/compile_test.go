@@ -124,7 +124,7 @@ func TestFusedStateDiscardedOnCverBump(t *testing.T) {
 		do   func()
 	}{
 		{"invalidate", func() { m.ac.Invalidate(e) }},
-		{"injectFault", func() { m.injectFault(e, faults.InjFlipFork) }},
+		{"Corrupt", func() { m.g.Corrupt(e, faults.InjFlipFork) }},
 	} {
 		n0.fusedVer, n1.fusedVer, n3.keyVer = e.CVer, e.CVer, e.KeyMark()
 		bump.do()

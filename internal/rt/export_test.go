@@ -72,7 +72,7 @@ func InjectNext(m *Machine, inj faults.Injection) bool {
 	if e == nil {
 		return false
 	}
-	m.injectFault(e, inj)
+	m.g.Corrupt(e, inj)
 	return true
 }
 

@@ -1,6 +1,7 @@
 package rt_test
 
 import (
+	"math/rand/v2"
 	"reflect"
 	"testing"
 
@@ -261,5 +262,48 @@ func TestFaultRunKeepsAccountingConsistent(t *testing.T) {
 					st.CacheBytes, want, st)
 			}
 		})
+	}
+}
+
+// TestGeneratedFaultSchedules runs each fault workload under generated
+// fault schedules: per seed, a non-empty random subset of the injection
+// kinds, an injection period of 1..8 replay opportunities, and
+// self-checking off or at a random rate. Every run must end bit-identical
+// to a clean memoizing run — emitted sequence, globals, steps and the final
+// step key — with the gauge equal to the surviving entries' bytes.
+func TestGeneratedFaultSchedules(t *testing.T) {
+	kinds := []faults.Injection{faults.InjBreakChain, faults.InjFlipFork, faults.InjTruncate, faults.InjGenBump}
+	for _, w := range rtFaultWorkloads {
+		clean, outC := runFaultWorkload(t, w.src, rt.Options{Memoize: true})
+		wantKey, _ := clean.DebugState()
+		for seed := uint64(1); seed <= 20; seed++ {
+			r := rand.New(rand.NewPCG(seed, 0))
+			var set []faults.Injection
+			for len(set) == 0 {
+				for _, k := range kinds {
+					if r.IntN(2) == 0 {
+						set = append(set, k)
+					}
+				}
+			}
+			sc := 0.0
+			if r.IntN(2) == 0 {
+				sc = r.Float64()
+			}
+			ij := faults.NewInjector(seed, 1+r.Uint64N(8), set...)
+			m, out := runFaultWorkload(t, w.src, rt.Options{Memoize: true, Inject: ij, SelfCheck: sc})
+			sameResults(t, clean, m, outC, out)
+			st, stC := m.Stats(), clean.Stats()
+			if key, _ := m.DebugState(); key != wantKey || st.SlowSteps+st.Replays != stC.SlowSteps+stC.Replays {
+				t.Errorf("%s seed %d (%v, self-check %.2f): final key %x after %d steps, clean run %x after %d",
+					w.name, seed, set, sc, key, st.SlowSteps+st.Replays, wantKey, stC.SlowSteps+stC.Replays)
+			}
+			if want := rt.EntryBytes(m); st.CacheBytes != want {
+				t.Errorf("%s seed %d: occupancy %d != entries' bytes %d", w.name, seed, st.CacheBytes, want)
+			}
+			if ij.Fired() == 0 {
+				t.Errorf("%s seed %d: injector never fired", w.name, seed)
+			}
+		}
 	}
 }

@@ -36,8 +36,7 @@ type Options struct {
 	// is a fault: the entry is invalidated and the step finishes live,
 	// unrecorded. The checked step runs entirely on the always-correct slow
 	// path, so self-checking never perturbs program results.
-	SelfCheck     float64
-	SelfCheckSeed uint64 // sampling PRNG seed (0 = fixed default)
+	SelfCheck float64
 
 	// Inject, when non-nil, deterministically corrupts cache entries just
 	// before replay so tests can drive every recovery path on demand.
@@ -75,12 +74,8 @@ type Stats struct {
 	TotalMemoBytes uint64
 	CacheClears    uint64
 
-	Faults               uint64 // typed faults detected during replay/recovery
-	Invalidations        uint64 // cache entries discarded after a fault
-	DegradedSteps        uint64 // steps re-run on the slow simulator after a fault
-	WatchdogTrips        uint64 // replay-node or step-budget watchdog firings
-	SelfChecks           uint64 // replayable steps re-executed for verification
-	SelfCheckDivergences uint64 // self-checks that disagreed with the cache
+	memocache.FaultStats
+	Invalidations uint64 // cache entries discarded after a fault
 }
 
 // Machine executes a compiled Facile program with optional
@@ -101,6 +96,7 @@ type Machine struct {
 	scratch []int64 // CallExt/QPush argument buffer, sized to the widest list
 
 	ac      *memocache.Cache[node]
+	g       memocache.Guard[node] // fault log, injection, self-check sampling
 	started bool
 	curKey  string // key of the next step to run, kept only when memoizing (see nextKey)
 	stepKey string // key of the entry currently being replayed
@@ -109,9 +105,7 @@ type Machine struct {
 	stop    func(*Machine) bool
 	done    bool
 
-	blkExt    [][]int32 // extern indices each block's dynamic segment calls
-	scState   uint64    // self-check sampling PRNG state
-	lastFault *faults.Fault
+	blkExt [][]int32 // extern indices each block's dynamic segment calls
 
 	// slow is the decoded program both simulators run (see slow.go).
 	slow slowProgram
@@ -150,6 +144,7 @@ func New(p *ir.Program, text TextSource, opt Options) *Machine {
 		obs:     opt.Obs,
 		slow:    decodeProgram(p),
 	}
+	m.g = memocache.NewGuard(m.ac, &payload, opt.Inject, opt.SelfCheck)
 	m.vregs = make([]int64, int(m.slow.constBase)+len(m.slow.consts))
 	copy(m.vregs[m.slow.constBase:], m.slow.consts)
 	reg := opt.Obs.Registry()
@@ -222,10 +217,6 @@ func New(p *ir.Program, text TextSource, opt Options) *Machine {
 		}
 	}
 	m.scratch = make([]int64, width)
-	m.scState = opt.SelfCheckSeed
-	if m.scState == 0 {
-		m.scState = 0xD1B54A32D192ED03
-	}
 	return m
 }
 
@@ -308,43 +299,14 @@ func (m *Machine) Stats() Stats {
 	st.CacheEntries = uint64(m.ac.Len())
 	st.TotalMemoBytes = m.ac.G.TotalBytes
 	st.CacheClears = m.ac.G.Clears
+	st.FaultStats = m.g.FaultStats
 	st.Invalidations = m.ac.G.Invalidations
 	return st
 }
 
 // LastFault returns the most recent fault detected by replay, recovery, or
 // self-checking (nil if none).
-func (m *Machine) LastFault() *faults.Fault { return m.lastFault }
-
-func (m *Machine) fault(k faults.Kind, detail string) {
-	m.stats.Faults++
-	m.lastFault = &faults.Fault{Kind: k, Engine: "rt", Detail: detail}
-	m.obs.EventDetail(obs.EvFault, 0, k.String())
-}
-
-// stepHook reports whether per-step policies (fault injection, self-check
-// sampling) are active, in which case the replayer hands every chained step
-// back to Run instead of following cache links internally.
-func (m *Machine) stepHook() bool {
-	return m.opt.Inject != nil || m.opt.SelfCheck > 0
-}
-
-// selfCheckDue samples the self-check rate deterministically.
-func (m *Machine) selfCheckDue() bool {
-	f := m.opt.SelfCheck
-	if f <= 0 {
-		return false
-	}
-	if f >= 1 {
-		return true
-	}
-	x := m.scState
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	m.scState = x
-	return float64(x>>11)/(1<<53) < f
-}
+func (m *Machine) LastFault() *faults.Fault { return m.g.Last }
 
 // Done reports whether the stop predicate has fired.
 func (m *Machine) Done() bool { return m.done }
@@ -367,18 +329,11 @@ func (m *Machine) Run(maxSteps uint64) error {
 		if maxSteps > 0 && steps() >= maxSteps {
 			return nil
 		}
-		var sink stepSink
+		var sink *recorder
 		var ent *memocache.Entry[node]
 		if m.opt.Memoize {
-			e := m.ac.Get(m.curKey)
-			if e != nil {
-				if inj := m.opt.Inject.Arm(); inj != faults.InjNone {
-					m.injectFault(e, inj)
-					e = m.ac.Get(m.curKey)
-				}
-			}
-			if e != nil {
-				if m.selfCheckDue() {
+			if e, check := m.g.Lookup(m.curKey); e != nil {
+				if check {
 					if err := m.selfCheckStep(e); err != nil {
 						return err
 					}
@@ -396,7 +351,7 @@ func (m *Machine) Run(maxSteps uint64) error {
 				// Should be unreachable: successor keys are vetted before
 				// adoption. Rebuild a parseable key from the current
 				// arguments so the run continues instead of crashing.
-				m.fault(faults.CorruptKey, "unparseable step key at slow-path entry")
+				m.g.Fault(faults.CorruptKey, "unparseable step key at slow-path entry")
 				m.curKey = buildKey(m.argI, m.argQ)
 			}
 			ent = &memocache.Entry[node]{Key: m.curKey}
@@ -413,36 +368,36 @@ func (m *Machine) Run(maxSteps uint64) error {
 	return nil
 }
 
-// stepSink observes one slow step's dynamic structure: block entries,
-// memoized placeholder values, dynamic results, and the end-of-step
-// successor key. The recorder implements it to grow the action cache; the
-// self-check verifier implements it to compare a live step against a
-// recorded chain.
-type stepSink interface {
-	enterBlock(bi int, blk *ir.Block)
-	ph(di *ir.DynInst, vregs []int64)
-	fork(v int64)
-	ret(key string)
-}
-
-// recorder appends new actions to the specialized action cache during slow
-// simulation.
+// recorder observes one slow step's dynamic structure — block entries,
+// memoized placeholder values, dynamic results and the end-of-step
+// successor key — and appends it to the specialized action cache as new
+// action nodes. On a self-checked step (chk non-nil) it builds the same nodes
+// but matches each against the entry's recorded chain once its block is
+// complete, until the walk forks off the chain and hands it the new fork
+// to record into (see memocache.Verify).
 type recorder struct {
 	m    *Machine
 	ent  *memocache.Entry[node] // entry the recorded bytes are charged to
 	tail **node
 	n    *node // node for the block currently executing
+	chk  *memocache.Verify[node]
+	open bool // n is still to be matched against the recorded chain
 }
 
 func (r *recorder) enterBlock(bi int, blk *ir.Block) {
+	r.seal()
 	n := &node{blockID: int32(bi)}
 	if blk.NPh > 0 {
 		n.data = make([]int64, 0, blk.NPh)
 	}
+	r.n = n
+	if r.chk.Checking() {
+		r.open = true
+		return
+	}
 	*r.tail = n
 	r.tail = &n.Next
 	r.m.ac.Charge(r.ent, nodeBytes+uint64(cap(n.data))*valBytes)
-	r.n = n
 }
 
 func (r *recorder) ph(di *ir.DynInst, vregs []int64) {
@@ -452,15 +407,45 @@ func (r *recorder) ph(di *ir.DynInst, vregs []int64) {
 // fork records a dynamic result v on the current node and redirects
 // recording into the new successor chain.
 func (r *recorder) fork(v int64) {
+	if r.chk.Checking() {
+		r.seal()
+		if tail := r.chk.Fork(uint64(v)); tail != nil {
+			r.tail = tail
+		}
+		return
+	}
 	r.tail = r.n.AddFork(uint64(v))
 	r.m.ac.Charge(r.ent, memocache.ForkBytes)
 }
 
 func (r *recorder) ret(key string) {
-	if r.n != nil {
-		r.n.NextKey = key
-		r.m.ac.Charge(r.ent, uint64(len(key)))
+	if r.n == nil {
+		return
 	}
+	r.n.NextKey = key
+	if r.chk.Checking() {
+		r.seal()
+		return
+	}
+	r.m.ac.Charge(r.ent, uint64(len(key)))
+}
+
+// seal matches a self-checked step's completed block against the chain.
+func (r *recorder) seal() {
+	if r.open {
+		r.open = false
+		r.chk.Match(r.n)
+	}
+}
+
+// selfCheckStep re-executes one replayable step on the slow simulator,
+// verifying its entry against the live run instead of replaying it.
+func (m *Machine) selfCheckStep(e *memocache.Entry[node]) error {
+	chk := m.g.Check(e, &m.stats.Misses)
+	if !parseKey(m.curKey, m.argI, m.argQ) {
+		return m.degradeLost(e, "unparseable step key at self-check")
+	}
+	return m.runStepSlow(&recorder{m: m, ent: e, chk: chk}, nil)
 }
 
 // rcursor aligns a slow re-run with the partial replay it replaces. In

@@ -59,7 +59,7 @@ func (m *Machine) replayFrom(e *memocache.Entry[node], maxSteps uint64) error {
 		if n == nil {
 			// Recording always seals a step with a DTRet node; a nil link
 			// mid-chain means the entry is corrupt.
-			m.fault(faults.BrokenChain, "nil action link before end of step")
+			m.g.Fault(faults.BrokenChain, "nil action link before end of step")
 			return m.degradeStep(e)
 		}
 		// Run the fused run headed at n — a pre-validated straight-line run
@@ -95,26 +95,26 @@ func (m *Machine) replayFrom(e *memocache.Entry[node], maxSteps uint64) error {
 		}
 		if m.nodes >= m.opt.MaxReplayNodes {
 			// A cycle in a corrupted graph, or a runaway step.
-			m.fault(faults.WatchdogReplay,
+			m.g.Fault(faults.WatchdogReplay,
 				fmt.Sprintf("replayed %d action nodes in one step", m.nodes))
-			m.stats.WatchdogTrips++
+			m.g.WatchdogTrips++
 			return m.degradeStep(e)
 		}
 		if n.blockID < 0 || int(n.blockID) >= len(m.p.Blocks) {
-			m.fault(faults.BadAction,
+			m.g.Fault(faults.BadAction,
 				fmt.Sprintf("action references block %d of %d", n.blockID, len(m.p.Blocks)))
 			return m.degradeStep(e)
 		}
 		blk := m.p.Blocks[n.blockID]
 		if len(n.data) != blk.NPh {
-			m.fault(faults.TruncatedData,
+			m.g.Fault(faults.TruncatedData,
 				fmt.Sprintf("action carries %d placeholder values, block %d needs %d",
 					len(n.data), n.blockID, blk.NPh))
 			return m.degradeStep(e)
 		}
 		for _, xi := range m.blkExt[n.blockID] {
 			if m.externs[xi] == nil {
-				m.fault(faults.BadAction,
+				m.g.Fault(faults.BadAction,
 					fmt.Sprintf("action needs unregistered extern %q", m.p.Externs[xi]))
 				return m.degradeStep(e)
 			}
@@ -154,7 +154,7 @@ func (m *Machine) replayFrom(e *memocache.Entry[node], maxSteps uint64) error {
 			// vetted at the entry's current CVer is not parsed again.
 			if n.keyVer != e.KeyMark() {
 				if !validKey(n.NextKey, len(m.argI), m.argQ) {
-					m.fault(faults.CorruptKey, "recorded successor key does not parse")
+					m.g.Fault(faults.CorruptKey, "recorded successor key does not parse")
 					return m.rekeyStep(e)
 				}
 				n.keyVer = e.KeyMark()
@@ -172,7 +172,7 @@ func (m *Machine) replayFrom(e *memocache.Entry[node], maxSteps uint64) error {
 			if maxSteps > 0 && m.stats.SlowSteps+m.stats.Replays >= maxSteps {
 				return nil
 			}
-			if m.stepHook() {
+			if m.g.Hooked() {
 				// Fault injection / self-check sampling are per-step
 				// policies applied by the Run loop; hand each chained step
 				// back instead of following the link directly.
@@ -192,7 +192,7 @@ func (m *Machine) replayFrom(e *memocache.Entry[node], maxSteps uint64) error {
 			m.stepKey = e.Key
 			n = e.First
 		default:
-			m.fault(faults.BadAction,
+			m.g.Fault(faults.BadAction,
 				fmt.Sprintf("unknown dynamic terminal %d", blk.DynTerm))
 			return m.degradeStep(e)
 		}
@@ -213,7 +213,7 @@ func (m *Machine) missRecover(n *node, e *memocache.Entry[node]) error {
 		// structure. Recovery alignment needs the missing value, so this is
 		// a structural fault, not a value miss: degrade instead of panicking
 		// on untrusted cache data.
-		m.fault(faults.BrokenChain, "mid-step miss with no replayed dynamic values")
+		m.g.Fault(faults.BrokenChain, "mid-step miss with no replayed dynamic values")
 		return m.degradeStep(e)
 	}
 	m.stats.Misses++
@@ -236,9 +236,9 @@ func (m *Machine) missRecover(n *node, e *memocache.Entry[node]) error {
 			kind = faults.RecoveryOverrun
 			detail = "recovery cursor overran the replayed path"
 		}
-		m.fault(kind, detail)
+		m.g.Fault(kind, detail)
 		m.ac.Invalidate(e)
-		m.stats.DegradedSteps++
+		m.g.DegradedSteps++
 		// Drop the half-recorded fork so the dead entry can't replay it.
 		n.Forks = n.Forks[:len(n.Forks)-1]
 	}
@@ -252,10 +252,10 @@ func (m *Machine) missRecover(n *node, e *memocache.Entry[node]) error {
 // values it produced, and going live at the fault point — so the step
 // finishes on the always-correct slow path, unrecorded.
 func (m *Machine) degradeStep(e *memocache.Entry[node]) error {
-	m.stats.DegradedSteps++
+	m.g.DegradedSteps++
 	m.ac.Invalidate(e)
 	if !parseKey(m.stepKey, m.argI, m.argQ) {
-		m.fault(faults.CorruptKey, "unparseable entry key during degradation")
+		m.g.Fault(faults.CorruptKey, "unparseable entry key during degradation")
 		return m.runStepSlow(nil, nil)
 	}
 	cur := &rcursor{path: m.path, useNodes: true, nodes: m.nodes}
@@ -266,9 +266,9 @@ func (m *Machine) degradeStep(e *memocache.Entry[node]) error {
 		return err
 	}
 	if cur.overrun {
-		m.fault(faults.RecoveryOverrun, "degraded re-run overran the replayed path")
+		m.g.Fault(faults.RecoveryOverrun, "degraded re-run overran the replayed path")
 	} else if cur.incomplete {
-		m.fault(faults.RecoveryIncomplete, "degraded re-run ended before the fault point")
+		m.g.Fault(faults.RecoveryIncomplete, "degraded re-run ended before the fault point")
 	}
 	return nil
 }
@@ -280,10 +280,10 @@ func (m *Machine) degradeStep(e *memocache.Entry[node]) error {
 // dynamic results, and the Ret rebuilds the successor key the recording
 // lost.
 func (m *Machine) rekeyStep(e *memocache.Entry[node]) error {
-	m.stats.DegradedSteps++
+	m.g.DegradedSteps++
 	m.ac.Invalidate(e)
 	if !parseKey(m.stepKey, m.argI, m.argQ) {
-		m.fault(faults.CorruptKey, "unparseable entry key during rekey")
+		m.g.Fault(faults.CorruptKey, "unparseable entry key during rekey")
 		return m.runStepSlow(nil, nil)
 	}
 	cur := &rcursor{path: m.path, useNodes: true, rekey: true}
@@ -291,7 +291,7 @@ func (m *Machine) rekeyStep(e *memocache.Entry[node]) error {
 		return err
 	}
 	if cur.overrun {
-		m.fault(faults.RecoveryOverrun, "rekey re-run overran the replayed path")
+		m.g.Fault(faults.RecoveryOverrun, "rekey re-run overran the replayed path")
 	}
 	return nil
 }
@@ -302,9 +302,9 @@ func (m *Machine) rekeyStep(e *memocache.Entry[node]) error {
 // than crash. Unreachable unless cache memory is corrupted between
 // validation and use.
 func (m *Machine) degradeLost(e *memocache.Entry[node], detail string) error {
-	m.fault(faults.CorruptKey, detail)
+	m.g.Fault(faults.CorruptKey, detail)
 	m.ac.Invalidate(e)
-	m.stats.DegradedSteps++
+	m.g.DegradedSteps++
 	return m.runStepSlow(nil, nil)
 }
 

@@ -377,7 +377,7 @@ func bit(x bool) int64 {
 // the cursor until it goes live. sink, when non-nil, observes the step's
 // dynamic structure from the moment the cursor is live (miss recovery
 // pre-attaches the recorder to the miss node's new fork).
-func (m *Machine) runStepSlow(sink stepSink, cur *rcursor) error {
+func (m *Machine) runStepSlow(sink *recorder, cur *rcursor) error {
 	m.stats.SlowSteps++
 	// Seed main's integer-parameter vregs (they occupy the first vregs in
 	// declaration order).
@@ -400,8 +400,8 @@ func (m *Machine) runStepSlow(sink stepSink, cur *rcursor) error {
 			if n := uint64(op.imm); budget >= n {
 				budget -= n
 			} else {
-				m.fault(faults.WatchdogStep, "step exceeded the instruction budget")
-				m.stats.WatchdogTrips++
+				m.g.Fault(faults.WatchdogStep, "step exceeded the instruction budget")
+				m.g.WatchdogTrips++
 				return fmt.Errorf("rt: step exceeded the instruction budget (non-terminating step?)")
 			}
 		case sConst:

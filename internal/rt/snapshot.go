@@ -60,7 +60,7 @@ func (m *Machine) SaveState(w *snapshot.Writer) {
 	w.String(m.nextKey())
 	w.Bool(m.started)
 	w.Bool(m.done)
-	w.U64(m.scState)
+	w.U64(m.g.SampleState)
 
 	w.BeginAux()
 	w.U64(m.stats.SlowSteps)
@@ -69,11 +69,7 @@ func (m *Machine) SaveState(w *snapshot.Writer) {
 	w.U64(m.stats.KeyMisses)
 	w.U64(m.stats.SlowInsts)
 	w.U64(m.stats.FastOps)
-	w.U64(m.stats.Faults)
-	w.U64(m.stats.DegradedSteps)
-	w.U64(m.stats.WatchdogTrips)
-	w.U64(m.stats.SelfChecks)
-	w.U64(m.stats.SelfCheckDivergences)
+	m.g.SaveCounts(w)
 	w.U64(m.ac.G.TotalBytes)
 	w.U64(m.ac.G.Clears)
 	w.U64(m.ac.G.Invalidations)
@@ -129,7 +125,7 @@ func (m *Machine) LoadState(r *snapshot.Reader) error {
 	key := r.String()
 	m.started = r.Bool()
 	m.done = r.Bool()
-	m.scState = r.U64()
+	m.g.SampleState = r.U64()
 	if m.started && key != "" && !validKey(key, len(m.argI), m.argQ) {
 		return fmt.Errorf("rt: snapshot step key does not parse against this program")
 	}
@@ -148,18 +144,14 @@ func (m *Machine) LoadState(r *snapshot.Reader) error {
 	m.stats.KeyMisses = r.U64()
 	m.stats.SlowInsts = r.U64()
 	m.stats.FastOps = r.U64()
-	m.stats.Faults = r.U64()
-	m.stats.DegradedSteps = r.U64()
-	m.stats.WatchdogTrips = r.U64()
-	m.stats.SelfChecks = r.U64()
-	m.stats.SelfCheckDivergences = r.U64()
+	m.g.LoadCounts(r)
 	m.ac.G.TotalBytes = r.U64()
 	m.ac.G.Clears = r.U64()
 	m.ac.G.Invalidations = r.U64()
 	if err := r.Err(); err != nil {
 		return err
 	}
-	m.lastFault = nil
+	m.g.Last = nil
 	m.path = m.path[:0]
 	m.nodes = 0
 	m.stepKey = ""

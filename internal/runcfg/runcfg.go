@@ -172,9 +172,12 @@ type Runner interface {
 }
 
 // FusionFacts returns the static fusion facts for a fac-* engine's bundled
-// description: predicted coverage and barrier count, from the same table
-// (Program.Replay) whose fusable blocks the replay engine may fuse. Nil
-// for engines without a compiled description.
+// description: predicted coverage and barrier count, from the compiler's
+// replay plan (Program.Replay). The replay engine does not read the plan:
+// it fuses the pure-flow blocks it finds by their dynamic terminator, and
+// reports the plan's prediction beside what it found (rt.fusion_predicted_*
+// and rt.fusion_compiled_*). Nil for engines without a compiled
+// description.
 // The facts come from the cached preflight vet run, so repeated calls are
 // cheap.
 func FusionFacts(engine string) *vet.FusionSummary {
@@ -264,10 +267,19 @@ func (r *funcRunner) Stats() Stats                   { return Stats{} }
 func (r *funcRunner) Hash() string                   { return r.st.Hash() }
 func (r *funcRunner) SnapshotKind() string           { return funcsim.SnapshotKind }
 func (r *funcRunner) Save(w *snapshot.Writer) error  { r.st.SaveState(w); return nil }
-func (r *funcRunner) Load(rd *snapshot.Reader) error { return r.st.LoadState(rd) }
+func (r *funcRunner) Load(rd *snapshot.Reader) error { return whole(rd, r.st.LoadState(rd)) }
 func (r *funcRunner) DetachCache() WarmCache         { return nil }
 func (r *funcRunner) AdoptCache(WarmCache) bool      { return false }
 func (r *funcRunner) LastFault() *faults.Fault       { return nil }
+
+// whole completes a Runner's Load: the engine loader's error, else an
+// error for bytes the loader left unread.
+func whole(rd *snapshot.Reader, err error) error {
+	if err != nil {
+		return err
+	}
+	return rd.End()
+}
 
 // --- conventional out-of-order baseline -----------------------------------
 
@@ -290,7 +302,7 @@ func (r *oooRunner) Stats() Stats                   { return Stats{} }
 func (r *oooRunner) Hash() string                   { return r.s.Hash() }
 func (r *oooRunner) SnapshotKind() string           { return ooo.SnapshotKind }
 func (r *oooRunner) Save(w *snapshot.Writer) error  { r.s.SaveState(w); return nil }
-func (r *oooRunner) Load(rd *snapshot.Reader) error { return r.s.LoadState(rd) }
+func (r *oooRunner) Load(rd *snapshot.Reader) error { return whole(rd, r.s.LoadState(rd)) }
 func (r *oooRunner) DetachCache() WarmCache         { return nil }
 func (r *oooRunner) AdoptCache(WarmCache) bool      { return false }
 func (r *oooRunner) LastFault() *faults.Fault       { return nil }
@@ -331,7 +343,7 @@ func (r *fastsimRunner) Stats() Stats {
 }
 func (r *fastsimRunner) SnapshotKind() string           { return fastsim.SnapshotKind }
 func (r *fastsimRunner) Save(w *snapshot.Writer) error  { return r.s.SaveState(w) }
-func (r *fastsimRunner) Load(rd *snapshot.Reader) error { return r.s.LoadState(rd) }
+func (r *fastsimRunner) Load(rd *snapshot.Reader) error { return whole(rd, r.s.LoadState(rd)) }
 func (r *fastsimRunner) DetachCache() WarmCache {
 	if wc := r.s.DetachCache(); wc != nil {
 		return wc
@@ -390,7 +402,7 @@ func (r *facRunner) Stats() Stats {
 func (r *facRunner) Hash() string                   { return r.in.Hash() }
 func (r *facRunner) SnapshotKind() string           { return r.in.Kind }
 func (r *facRunner) Save(w *snapshot.Writer) error  { r.in.SaveState(w); return nil }
-func (r *facRunner) Load(rd *snapshot.Reader) error { return r.in.LoadState(rd) }
+func (r *facRunner) Load(rd *snapshot.Reader) error { return whole(rd, r.in.LoadState(rd)) }
 func (r *facRunner) DetachCache() WarmCache {
 	if wc := r.in.DetachCache(); wc != nil {
 		return wc

@@ -44,29 +44,31 @@ func EncodeWarmCache(wc WarmCache) ([]byte, error) {
 
 // DecodeWarmCache reconstructs a detached cache from EncodeWarmCache's
 // payload. Errors mean the payload is not adoptable (unknown family,
-// format skew, structural corruption); callers degrade to a cold start.
+// format skew, structural corruption, bytes left over after the stream);
+// callers degrade to a cold start.
 func DecodeWarmCache(payload []byte) (WarmCache, error) {
 	r := snapshot.NewReader(payload)
 	fam := r.String()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
+	var wc WarmCache
+	var err error
 	switch fam {
 	case warmFamFastsim:
-		wc, err := fastsim.LoadWarmCache(r)
-		if err != nil {
-			return nil, err
-		}
-		return wc, nil
+		wc, err = fastsim.LoadWarmCache(r)
 	case warmFamRT:
-		wc, err := rt.LoadWarmCache(r)
-		if err != nil {
-			return nil, err
-		}
-		return wc, nil
+		wc, err = rt.LoadWarmCache(r)
 	default:
 		return nil, fmt.Errorf("runcfg: unknown warm-cache family %q", fam)
 	}
+	if err == nil {
+		err = r.End()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return wc, nil
 }
 
 // CacheFingerprint identifies the simulator an engine name resolves to,

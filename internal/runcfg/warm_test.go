@@ -16,28 +16,14 @@ import (
 // re-encode to a fixed point: encode → decode → encode yields the same
 // bytes.
 func FuzzDecodeWarmCache(f *testing.F) {
-	// Real payloads from short memoized runs, whole and truncated. The runs
-	// are kept short: the fuzzer minimizes every input that finds new
-	// coverage, and its time grows with the input's size.
-	w, err := workloads.Get("129.compress", 1)
-	if err != nil {
-		f.Fatal(err)
-	}
+	// Real payloads from short memoized runs: whole, truncated, and with
+	// junk after the stream.
 	for _, eng := range []string{EngineFastsim, EngineFacFunc} {
-		r, err := New(w.Prog, Config{Engine: eng, Memoize: true})
-		if err != nil {
-			f.Fatal(err)
-		}
-		if err := r.Run(50); err != nil {
-			f.Fatal(err)
-		}
-		p, err := EncodeWarmCache(r.DetachCache())
-		if err != nil {
-			f.Fatal(err)
-		}
+		p := warmPayload(f, eng)
 		f.Add(p)
 		f.Add(p[:len(p)/2])
 		f.Add(p[:len(p)-1])
+		f.Add(withJunk(p))
 	}
 
 	// Hand-built streams: a chain and a fork nest 32 nodes deep, and two
@@ -130,4 +116,83 @@ func FuzzDecodeWarmCache(f *testing.F) {
 			t.Fatalf("encode → decode → encode changed %d bytes into %d", len(enc), len(again))
 		}
 	})
+}
+
+// warmPayload encodes the cache of a short memoized 129.compress run on
+// engine. The run is kept short: the fuzzer minimizes every seed that
+// finds new coverage, and its time grows with the input's size.
+func warmPayload(tb testing.TB, engine string) []byte {
+	tb.Helper()
+	w, err := workloads.Get("129.compress", 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r, err := New(w.Prog, Config{Engine: engine, Memoize: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := r.Run(50); err != nil {
+		tb.Fatal(err)
+	}
+	p, err := EncodeWarmCache(r.DetachCache())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+// withJunk returns p with four bytes appended.
+func withJunk(p []byte) []byte {
+	return append(p[:len(p):len(p)], 0xde, 0xad, 0xbe, 0xef)
+}
+
+// A complete warm stream followed by junk is rejected, in both families.
+func TestDecodeWarmCacheRejectsTrailingBytes(t *testing.T) {
+	for _, eng := range []string{EngineFastsim, EngineFacFunc} {
+		p := warmPayload(t, eng)
+		if _, err := DecodeWarmCache(p); err != nil {
+			t.Fatalf("%s: clean payload: %v", eng, err)
+		}
+		if _, err := DecodeWarmCache(withJunk(p)); err == nil {
+			t.Errorf("%s: payload with junk after the stream decoded", eng)
+		}
+	}
+}
+
+// Every engine's snapshot loader rejects a payload with bytes left over
+// after the state it saved, even under a valid FACSNAP1 digest.
+func TestLoadRejectsTrailingBytes(t *testing.T) {
+	prog := testProg(t)
+	for _, eng := range []string{EngineFunc, EngineOOO, EngineFastsim, EngineFacFunc} {
+		mk := func() Runner {
+			r, err := New(prog, Config{Engine: eng, Memoize: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+		r := mk()
+		if err := r.Run(200); err != nil {
+			t.Fatal(err)
+		}
+		for _, junk := range []bool{false, true} {
+			w := snapshot.NewWriter()
+			if err := r.Save(w); err != nil {
+				t.Fatal(err)
+			}
+			if junk {
+				w.U64(7)
+			}
+			_, rd, _, err := snapshot.Decode(snapshot.Encode(r.SnapshotKind(), w))
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = mk().Load(rd)
+			if junk && err == nil {
+				t.Errorf("%s: snapshot with a trailing value loaded", eng)
+			} else if !junk && err != nil {
+				t.Errorf("%s: clean snapshot: %v", eng, err)
+			}
+		}
+	}
 }

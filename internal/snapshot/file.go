@@ -57,7 +57,7 @@ func Decode(blob []byte) (kind string, r *Reader, stateHash string, err error) {
 	kind = hr.String()
 	auxOff := hr.U64()
 	payload := hr.Bytes()
-	if err := hr.Err(); err != nil {
+	if err := hr.End(); err != nil {
 		return "", nil, "", err
 	}
 	if auxOff > uint64(len(payload)) {

@@ -139,6 +139,16 @@ func NewReader(payload []byte) *Reader { return &Reader{buf: payload} }
 // Err returns the first decoding error, if any.
 func (r *Reader) Err() error { return r.err }
 
+// End returns the first decoding error or, when every read succeeded, an
+// error if bytes are left over: a decoder rejects a payload it did not
+// consume whole rather than ignore what it could not place.
+func (r *Reader) End() error {
+	if r.err == nil && r.off != len(r.buf) {
+		return fmt.Errorf("snapshot: %d bytes left over after the payload", len(r.buf)-r.off)
+	}
+	return r.err
+}
+
 func (r *Reader) fail(what string) {
 	if r.err == nil {
 		r.err = fmt.Errorf("snapshot: truncated or corrupt payload at offset %d (%s)", r.off, what)

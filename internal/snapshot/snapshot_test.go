@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"strings"
 	"testing"
 )
@@ -78,6 +79,41 @@ func TestReaderTruncation(t *testing.T) {
 	// Sticky: later reads keep failing and return zero values.
 	if r.U64() != 0 || r.Err() == nil {
 		t.Error("error was not sticky")
+	}
+}
+
+func TestReaderEndRejectsLeftoverBytes(t *testing.T) {
+	w := NewWriter()
+	w.U64(7)
+	w.String("x")
+	r := NewReader(w.Payload())
+	r.U64()
+	if r.End() == nil {
+		t.Error("End accepted a payload with a string left unread")
+	}
+	if r.String() != "x" {
+		t.Fatal("string read back wrong")
+	}
+	if err := r.End(); err != nil {
+		t.Errorf("End on a fully read payload: %v", err)
+	}
+	short := NewReader(w.Payload()[:1])
+	short.U64()
+	if short.String() != "" || short.End() == nil {
+		t.Error("End lost the truncation error")
+	}
+}
+
+// A blob whose body holds bytes after the payload, under a digest that
+// covers them, is rejected rather than decoded.
+func TestDecodeRejectsBytesAfterPayload(t *testing.T) {
+	w := NewWriter()
+	w.U64(123)
+	blob := Encode("testkind", w)
+	body := append(blob[:len(blob)-sha256.Size:len(blob)-sha256.Size], 0x01)
+	sum := sha256.Sum256(body)
+	if _, _, _, err := Decode(append(body, sum[:]...)); err == nil {
+		t.Fatal("Decode accepted a body with a byte after the payload")
 	}
 }
 
