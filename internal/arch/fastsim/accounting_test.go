@@ -1,12 +1,14 @@
 package fastsim
 
 import (
+	"bytes"
 	"sort"
 	"testing"
 
 	"facile/internal/arch/uarch"
 	"facile/internal/faults"
 	"facile/internal/memocache"
+	"facile/internal/workloads"
 )
 
 // sumEntryBytes is the occupancy the gauge should report: the bytes charged
@@ -81,5 +83,44 @@ func TestFaultRunKeepsAccountingConsistent(t *testing.T) {
 					st.CacheBytes, want, st)
 			}
 		})
+	}
+}
+
+// TestCorruptSuccessorKeyInvalidatesItsEntry: a successor key that fails to
+// parse when the slow simulator restores from it condemns the entry that
+// recorded it, so the entry is not replayed into the same fault again. On
+// 129.compress with every third replay's key truncated, the corrupt-key
+// faults stay within the injections, entries are invalidated, the output
+// is a clean run's, and the gauge still equals the installed entries' bytes.
+func TestCorruptSuccessorKeyInvalidatesItsEntry(t *testing.T) {
+	w, err := workloads.Get("129.compress", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean := New(uarch.Default(), w.Prog, Options{Memoize: true}).Run(0)
+	ij := faults.NewInjector(1, 3, faults.InjTruncate)
+	s := New(uarch.Default(), w.Prog, Options{Memoize: true, Inject: ij})
+	res := s.Run(0)
+	st := s.Stats()
+	// Truncation hits only successor keys here (fastsim's actions carry no
+	// placeholder data), so every fault is a corrupt key.
+	t.Logf("fired %d, corrupt-key faults %d, invalidations %d", ij.Fired(), st.Faults, st.Invalidations)
+	if ij.Fired() == 0 {
+		t.Fatal("injector never fired")
+	}
+	if f := s.LastFault(); f == nil || f.Kind != faults.CorruptKey {
+		t.Fatalf("last fault %v, want a corrupt key", f)
+	}
+	if st.Faults > ij.Fired() {
+		t.Errorf("%d corrupt-key faults from %d injections", st.Faults, ij.Fired())
+	}
+	if st.Invalidations == 0 {
+		t.Error("no entry was invalidated")
+	}
+	if !bytes.Equal(res.Output, clean.Output) || res.ExitStatus != clean.ExitStatus {
+		t.Errorf("output %q (exit %d), clean run %q (exit %d)", res.Output, res.ExitStatus, clean.Output, clean.ExitStatus)
+	}
+	if want := sumEntryBytes(s.ac); st.CacheBytes != want {
+		t.Errorf("gauge %d, installed entries charge %d", st.CacheBytes, want)
 	}
 }

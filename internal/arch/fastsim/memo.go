@@ -157,8 +157,9 @@ type Sim struct {
 	startBase  uint32
 	startCycle uint64
 	curKey     string
-	path       []uint64 // dynamic values produced along the replayed path
-	ops        uint64   // sink-level operations performed by the current replay
+	keyEnt     *memocache.Entry[action] // entry whose aEnd recorded curKey, nil if none did
+	path       []uint64                 // dynamic values produced along the replayed path
+	ops        uint64                   // sink-level operations performed by the current replay
 
 	// lastNPC is the resolved next PC of the most recently fetched
 	// instruction — the architectural resume point if the rt-static
@@ -376,6 +377,7 @@ func (s *Sim) Run(maxInsts uint64) uarch.Result {
 // engine state stale.
 func (s *Sim) beginReplay(key string) {
 	s.curKey = key
+	s.keyEnt = nil
 	s.startBase = s.base
 	s.startCycle = s.cycle
 	s.engineLive = false
@@ -384,7 +386,9 @@ func (s *Sim) beginReplay(key string) {
 // restoreEngine rebuilds the slow simulator from the step-start snapshot.
 // It reports false if the recorded key no longer parses (a corrupt-key
 // fault), in which case drainReset has already put the engine back on the
-// architectural instruction stream with an empty pipeline.
+// architectural instruction stream with an empty pipeline, and the entry
+// that recorded the key, if it is still installed, is invalidated so it is
+// not replayed into the same fault again.
 func (s *Sim) restoreEngine() bool {
 	getSlot := func(i int) (uint64, uint64) {
 		j := (s.startBase + uint32(i)) & s.ringMask
@@ -392,6 +396,10 @@ func (s *Sim) restoreEngine() bool {
 	}
 	if err := s.eng.restoreFromKey(s.curKey, getSlot, s.startCycle); err != nil {
 		s.g.Fault(faults.CorruptKey, err.Error())
+		if k := s.keyEnt; k != nil && s.ac.Get(k.Key) == k {
+			s.ac.Invalidate(k)
+		}
+		s.keyEnt = nil
 		s.drainReset()
 		return false
 	}

@@ -186,6 +186,7 @@ func (s *Sim) replayFrom(e *memocache.Entry[action], maxInsts uint64) {
 			s.obs.Event(obs.EvStepReplayed, acts)
 			s.hStepActs.Observe(acts)
 			s.curKey = a.NextKey
+			s.keyEnt = e
 			s.startBase = s.base
 			s.startCycle = s.cycle
 			s.path = s.path[:0]

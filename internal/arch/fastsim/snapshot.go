@@ -180,6 +180,7 @@ func (s *Sim) LoadState(r *snapshot.Reader) error {
 	s.startBase = s.base
 	s.startCycle = s.cycle
 	s.curKey = ""
+	s.keyEnt = nil
 	s.path = s.path[:0]
 	s.ops = 0
 	if e.haltSeen {

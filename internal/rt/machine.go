@@ -121,6 +121,8 @@ type Machine struct {
 	cFusedNodes *obs.Counter // action nodes covered by fused dispatches
 
 	stats Stats
+
+	records uint64 // slow-loop records dispatched, counted only if CountRecords
 }
 
 // New builds a machine for the compiled program p over the given target
@@ -303,6 +305,11 @@ func (m *Machine) Stats() Stats {
 	st.Invalidations = m.ac.G.Invalidations
 	return st
 }
+
+// SlowRecords returns how many decoded records the slow loop has
+// dispatched, a record skipped in recovery not counted. It is 0 unless the
+// build counts them (CountRecords).
+func (m *Machine) SlowRecords() uint64 { return m.records }
 
 // LastFault returns the most recent fault detected by replay, recovery, or
 // self-checking (nil if none).

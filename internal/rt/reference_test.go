@@ -298,3 +298,270 @@ func CheckSegments(p *ir.Program, trials int, seed int64) (blocks int, diffs []s
 	}
 	return blocks, diffs
 }
+
+// execInst executes one IR instruction as the slow simulator's definition
+// reads it, whatever its binding time: the reference the decoded slow
+// blocks are checked against.
+func (m *Machine) execInst(in *ir.Inst) {
+	vr := m.vregs
+	switch in.Op {
+	case ir.Const:
+		vr[in.D] = in.Imm
+	case ir.Mov, ir.Pin:
+		vr[in.D] = vr[in.A]
+	case ir.Bin:
+		vr[in.D] = types.EvalBinary(token.Kind(in.Sub), vr[in.A], vr[in.B])
+	case ir.Un:
+		vr[in.D] = evalUn(in.Sub, vr[in.A])
+	case ir.Ext:
+		vr[in.D] = extend(vr[in.A], in.Imm, in.Sub == 1)
+	case ir.LoadG:
+		vr[in.D] = m.globals[in.Imm]
+	case ir.StoreG:
+		m.globals[in.Imm] = vr[in.A]
+	case ir.LoadA:
+		arr := m.arrays[in.Imm]
+		if i := vr[in.A]; i >= 0 && i < int64(len(arr)) {
+			vr[in.D] = arr[i]
+		} else {
+			vr[in.D] = 0
+		}
+	case ir.StoreA:
+		arr := m.arrays[in.Imm]
+		if i := vr[in.A]; i >= 0 && i < int64(len(arr)) {
+			arr[i] = vr[in.B]
+		}
+	case ir.Fetch:
+		vr[in.D] = int64(m.text.FetchWord(uint64(vr[in.A])))
+	case ir.CallExt:
+		args := make([]int64, len(in.Args))
+		for i, a := range in.Args {
+			args[i] = vr[a]
+		}
+		vr[in.D] = m.externs[in.Imm](args)
+	case ir.QOp:
+		q := m.queue(in.QID)
+		var res int64
+		switch in.Sub {
+		case ir.QSize:
+			res = int64(q.Size())
+		case ir.QPush:
+			vals := make([]int64, len(in.Args))
+			for i, a := range in.Args {
+				vals[i] = vr[a]
+			}
+			q.Push(vals)
+		case ir.QPop:
+			res = q.Pop()
+		case ir.QGet:
+			res = q.Get(vr[in.A], vr[in.B])
+		case ir.QSet:
+			q.Set(vr[in.A], vr[in.B], vr[in.Args[0]])
+		case ir.QFront:
+			res = q.Front(vr[in.A])
+		case ir.QFull:
+			if q.Full() {
+				res = 1
+			}
+		case ir.QClear:
+			q.Clear()
+		}
+		if in.D >= 0 {
+			vr[in.D] = res
+		}
+	case ir.SetArg:
+		m.argBuf[in.Imm] = vr[in.A]
+	}
+}
+
+// refSuccessors returns the blocks the decoded successor of blk, run by
+// the reference, may be: the successor its terminator names, followed past
+// empty static blocks (no instructions, no dynamic segment, a jump out) to
+// the first block that is not one. If those blocks form a cycle, any block
+// of it will do. A return has the successor -1.
+func refSuccessors(p *ir.Program, bi int, vregs []int64) []int {
+	blk := p.Blocks[bi]
+	s := bi // an unterminated block runs again
+	switch blk.Term.Op {
+	case ir.Ret:
+		return []int{-1}
+	case ir.Jmp:
+		s = blk.Succ[0]
+	case ir.Br:
+		s = blk.Succ[1]
+		if vregs[blk.Term.A] != 0 {
+			s = blk.Succ[0]
+		}
+	}
+	var chain []int
+	for !slices.Contains(chain, s) {
+		chain = append(chain, s)
+		b := p.Blocks[s]
+		if len(b.Insts) > 0 || b.HasDyn || b.Term.Op != ir.Jmp {
+			return []int{s}
+		}
+		s = b.Succ[0]
+	}
+	return chain
+}
+
+// blockLocal marks, per block, the vregs no later instruction can read
+// once the block is done: one definition, in the block, every reader in
+// the block after it, and not named by a dynamic segment, a TermSrc or a
+// PinDst, nor one of main's parameters. The slow-block check compares
+// every other vreg.
+func blockLocal(p *ir.Program) [][]bool {
+	type at struct{ blk, idx int }
+	defs := make([][]at, p.NumVReg)
+	reads := make([][]at, p.NumVReg)
+	observed := make([]bool, p.NumVReg)
+	for v := range p.Params {
+		observed[v] = true
+	}
+	for bi, blk := range p.Blocks {
+		insts := append(slices.Clone(blk.Insts), blk.Term)
+		for i, in := range insts {
+			if in.D >= 0 {
+				defs[in.D] = append(defs[in.D], at{bi, i})
+			}
+			for _, r := range append([]int32{in.A, in.B}, in.Args...) {
+				if r >= 0 {
+					reads[r] = append(reads[r], at{bi, i})
+				}
+			}
+		}
+		for _, di := range blk.Dyn {
+			for _, s := range append([]ir.Src{di.A, di.B}, di.Args...) {
+				if s.Kind == ir.SrcVReg || s.Kind == ir.SrcPh {
+					observed[s.VReg] = true
+				}
+			}
+		}
+		if s := blk.TermSrc; s.Kind == ir.SrcVReg || s.Kind == ir.SrcPh {
+			observed[s.VReg] = true
+		}
+		if blk.DynTerm == ir.DTPin {
+			observed[blk.PinDst] = true
+		}
+	}
+	local := make([][]bool, len(p.Blocks))
+	for bi := range local {
+		local[bi] = make([]bool, p.NumVReg)
+	}
+	for v := range defs {
+		if observed[v] || len(defs[v]) != 1 {
+			continue
+		}
+		d := defs[v][0]
+		ok := true
+		for _, r := range reads[v] {
+			ok = ok && r.blk == d.blk && r.idx > d.idx
+		}
+		local[d.blk][v] = ok
+	}
+	return local
+}
+
+// isolateBlocks rewrites m's slow records so that a block runs alone: every
+// terminator leads instead to an exit that writes the ID of the block it
+// would have entered (-1 at a return, -2 at a record that starts no block)
+// to the junk vreg and ends the step. It returns each block's first record.
+func (m *Machine) isolateBlocks() []int32 {
+	ops := slices.Clone(m.slow.ops)
+	end := len(ops)
+	if len(m.slow.dyn) > 0 {
+		end = int(m.slow.dyn[0])
+	}
+	nb := int32(len(m.p.Blocks))
+	starts := make([]int32, nb)
+	block := map[int32]int32{}
+	for pc := 0; pc < end; pc++ {
+		if ops[pc].code == sBlock {
+			starts[ops[pc].a] = int32(pc)
+			block[int32(pc)] = ops[pc].a
+		}
+	}
+	junk := int32(m.p.NumVReg)
+	base := int32(len(ops))
+	for b := int32(0); b < nb+2; b++ {
+		id := b
+		if b >= nb {
+			id = nb - 1 - b // -1, then -2
+		}
+		ops = append(ops, slowOp{code: sConst, d: junk, imm: int64(id)}, slowOp{code: sRet})
+	}
+	exit := func(t int32) int32 {
+		if b, ok := block[t]; ok {
+			return base + 2*b
+		}
+		return base + 2*(nb+1)
+	}
+	for pc := 0; pc < end; pc++ {
+		if ops[pc].code == sRet {
+			ops[pc] = slowOp{code: sJmp, imm: int64(base + 2*nb)}
+		} else {
+			retarget(&ops[pc], exit)
+		}
+	}
+	m.slow.ops = ops
+	return starts
+}
+
+// CheckSlowBlocks runs every block of p from its decoded slow records,
+// trials times each from random and boundary inputs, and through the
+// ir.Inst reference execInst from the same inputs. It returns the number
+// of blocks checked and one line per block whose outcomes differ: the
+// successor taken (past empty static blocks), the vregs a later
+// instruction, the recorder or replay may read, globals, arrays, queues,
+// extern argument lists and the next step's arguments.
+func CheckSlowBlocks(p *ir.Program, trials int, seed int64) (blocks int, diffs []string) {
+	var dcalls, rcalls [][]int64
+	dec, ref := oracleMachine(p, &dcalls), oracleMachine(p, &rcalls)
+	starts := dec.isolateBlocks()
+	local := blockLocal(p)
+	junk := p.NumVReg
+	r := rand.New(rand.NewSource(seed))
+	vregs := make([]int64, p.NumVReg)
+	for bi, blk := range p.Blocks {
+		for trial := 0; trial < trials; trial++ {
+			for i := range vregs {
+				vregs[i] = oracleValue(r)
+			}
+			st := drawState(r, dec, blk, vregs)
+			dec.loadState(st)
+			ref.loadState(st)
+			// The step seeds main's parameter vregs and the next step's
+			// arguments from the current arguments.
+			copy(dec.argI, vregs)
+			copy(ref.argBuf, vregs)
+			dcalls, rcalls = dcalls[:0], rcalls[:0]
+			dec.slow.entry = int(starts[bi])
+			if err := dec.runStepSlow(nil, nil); err != nil {
+				diffs = append(diffs, fmt.Sprintf("block %d, trial %d: %v", bi, trial, err))
+				break
+			}
+			for i := range blk.Insts {
+				ref.execInst(&blk.Insts[i])
+			}
+			succ := refSuccessors(p, bi, ref.vregs)
+			for v, skip := range local[bi] {
+				if skip {
+					dec.vregs[v] = ref.vregs[v]
+				}
+			}
+			d := diffState(dec, ref, dcalls, rcalls)
+			if d == "" && !slices.Equal(dec.argBuf, ref.argBuf) {
+				d = fmt.Sprintf("next-step arguments: decoded %v, reference %v", dec.argBuf, ref.argBuf)
+			}
+			if got := dec.vregs[junk]; d == "" && !slices.Contains(succ, int(got)) {
+				d = fmt.Sprintf("successor: decoded %d, reference %v", got, succ)
+			}
+			if d != "" {
+				diffs = append(diffs, fmt.Sprintf("block %d, trial %d: %s", bi, trial, d))
+				break
+			}
+		}
+		blocks++
+	}
+	return blocks, diffs
+}

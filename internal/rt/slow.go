@@ -38,6 +38,13 @@ import (
 // SlowInsts (records are not counted) and announces a dynamic block to the
 // sink, and closes with its terminator, whose targets are record indices.
 //
+// The slow blocks' records then pass through a peephole pass (see
+// decodeProgram): a constant read once by the next Bin or QGet becomes its
+// immediate, a static block's compare read once by its branch fuses with
+// it, and edges skip empty static blocks. Every charge, announcement,
+// recovery-cursor call and recorded value stays as it was; only the number
+// of records dispatched falls.
+//
 // A replay segment is a block's ir.DynInst list decoded by the same decode
 // into operation records and ended by sEnd. Its operands are all vregs: a
 // dynamic operand is its own vreg; a placeholder is a slot of the
@@ -114,6 +121,44 @@ const (
 	sBrDyn // on a != 0, a dynamic-result test
 	sRet
 	sEnd // a replay segment ends
+	// The peephole forms (see decodeProgram), which only the slow loop runs. A
+	// Bin whose second operand is the constant imm, one code per Bin code
+	// in sAdd's order: d = a <op> imm, a shift's imm already taken mod 64.
+	sAddI
+	sSubI
+	sMulI
+	sDivI
+	sRemI
+	sAndI
+	sOrI
+	sXorI
+	sShlI
+	sShrI
+	sEqI
+	sNeI
+	sLtI
+	sLeI
+	sGtI
+	sGeI
+	sLAndI
+	sLOrI
+	sQGetI // d = field b (a constant) of entry a of queue imm
+	// A compare fused with the static branch that reads it, one code per
+	// compare in sEq's order: on a <op> b go to record d, else to record
+	// imm...
+	sBrEq
+	sBrNe
+	sBrLt
+	sBrLe
+	sBrGt
+	sBrGe
+	// ...and on a <op> imm go to record d, else to record b.
+	sBrEqI
+	sBrNeI
+	sBrLtI
+	sBrLeI
+	sBrGtI
+	sBrGeI
 )
 
 // slowOp is one decoded record: 24 bytes.
@@ -151,8 +196,27 @@ type slowProgram struct {
 
 // decodeProgram decodes p. A QOp whose result is unused (d < 0) writes to
 // the junk vreg p.NumVReg, which no instruction reads.
+//
+// A peephole pass over the slow blocks, made as they are decoded, takes out
+// records whose effect another record can carry:
+//
+//   - a single-use constant that the next instruction, a static Bin or
+//     QGet, reads as its second operand becomes that record's immediate
+//     (immOperand, withImm);
+//   - a static block's single-use compare that its static branch reads
+//     becomes one compare-and-branch record, which also takes in the
+//     compare's constant second operand (fusesBranch);
+//   - an edge to an empty static block, one that charges no instructions,
+//     announces nothing and only jumps on, goes straight to where that
+//     jump leads (threadEmpty).
+//
+// Each is exact: the vreg whose definition goes away is read by nobody else
+// (singleUse), a static block has no recovery cursor to advance, and a
+// skipped block charges no budget. sBlock still charges every block's IR
+// instructions, so SlowInsts counts what it counted before.
 func decodeProgram(p *ir.Program) slowProgram {
 	junk := int32(p.NumVReg)
+	once := singleUse(p)
 	var sp slowProgram
 	start := make([]int32, len(p.Blocks)) // block ID -> its sBlock record
 	var terms []int                       // records whose targets are still block IDs
@@ -163,21 +227,40 @@ func decodeProgram(p *ir.Program) slowProgram {
 			hasDyn = 1
 		}
 		sp.ops = append(sp.ops, slowOp{code: sBlock, a: int32(bi), b: hasDyn, imm: int64(len(blk.Insts))})
+		insts := blk.Insts
+		// A static block's branch takes in its compare, and the compare
+		// its constant second operand.
+		var cmp, cmpK *ir.Inst
+		if n := len(insts); !blk.HasDyn && n > 0 && fusesBranch(&insts[n-1], &blk.Term, once) {
+			cmp, insts = &insts[n-1], insts[:n-1]
+			if n > 1 && immOperand(&insts[n-2], cmp, once) {
+				cmpK, insts = &insts[n-2], insts[:n-2]
+			}
+		}
 		dyn := int64(0)
-		for i := range blk.Insts {
-			in := &blk.Insts[i]
+		var k *ir.Inst // a constant the next record takes in
+		for i := range insts {
+			in := &insts[i]
+			if i+1 < len(insts) && immOperand(in, &insts[i+1], once) {
+				k = in
+				continue
+			}
+			op := sp.decode(in, junk)
+			if k != nil {
+				op, k = withImm(op, k.Imm), nil
+			}
 			switch {
 			case in.BT == ir.BTStatic:
-				sp.ops = append(sp.ops, sp.decode(in, junk))
+				sp.ops = append(sp.ops, op)
 			case in.BT == ir.BTStaticWT:
-				sp.ops = append(sp.ops, sp.decode(in, junk), slowOp{code: sWT, a: int32(bi), imm: dyn})
+				sp.ops = append(sp.ops, op, slowOp{code: sWT, a: int32(bi), imm: dyn})
 				dyn++
 			case in.Op == ir.SetArg:
 				sp.ops = append(sp.ops, slowOp{code: sSetArgDyn, a: in.A, imm: in.Imm})
 			case in.Op == ir.Pin:
 				sp.ops = append(sp.ops, slowOp{code: sPinDyn, d: in.D, a: in.A})
 			default:
-				sp.ops = append(sp.ops, slowOp{code: sDyn, a: int32(bi), imm: dyn}, sp.decode(in, junk))
+				sp.ops = append(sp.ops, slowOp{code: sDyn, a: int32(bi), imm: dyn}, op)
 				dyn++
 			}
 		}
@@ -188,9 +271,15 @@ func decodeProgram(p *ir.Program) slowProgram {
 		case ir.Jmp:
 			term.imm = int64(blk.Succ[0])
 		case ir.Br:
-			term = slowOp{code: sBr, a: blk.Term.A, d: int32(blk.Succ[0]), b: int32(blk.Succ[1]), imm: int64(hasDyn)}
-			if blk.Term.BT == ir.BTDynamic {
+			taken, not := int32(blk.Succ[0]), int32(blk.Succ[1])
+			term = slowOp{code: sBr, a: blk.Term.A, d: taken, b: not, imm: int64(hasDyn)}
+			switch {
+			case blk.Term.BT == ir.BTDynamic:
 				term.code = sBrDyn
+			case cmpK != nil:
+				term = slowOp{code: sBrEqI + binCodes[token.Kind(cmp.Sub)] - sEq, a: cmp.A, imm: cmpK.Imm, d: taken, b: not}
+			case cmp != nil:
+				term = slowOp{code: sBrEq + binCodes[token.Kind(cmp.Sub)] - sEq, a: cmp.A, b: cmp.B, d: taken, imm: int64(not)}
 			}
 		case ir.Ret:
 			term = slowOp{code: sRet}
@@ -198,17 +287,145 @@ func decodeProgram(p *ir.Program) slowProgram {
 		terms = append(terms, len(sp.ops))
 		sp.ops = append(sp.ops, term)
 	}
+	// Edges skip empty blocks.
+	target := func(b int32) int32 { return start[threadEmpty(p, int(b))] }
 	for _, t := range terms {
-		switch op := &sp.ops[t]; op.code {
-		case sJmp:
-			op.imm = int64(start[op.imm])
-		case sBr, sBrDyn:
-			op.d, op.b = start[op.d], start[op.b]
-		}
+		retarget(&sp.ops[t], target)
 	}
-	sp.entry = int(start[p.Entry])
+	sp.entry = int(target(int32(p.Entry)))
 	sp.decodeSegments(p, junk)
 	return sp
+}
+
+// singleUse marks the vregs a folded record may leave unwritten: those with
+// one definition and one reader among every block's instructions and
+// terminator. A vreg is never single-use if a dynamic segment operand, a
+// TermSrc or a PinDst names it, because sWT and sDyn hand those to the
+// recorder through appendPh and replay reads them, or if it is one of
+// main's parameters, which every step seeds. The count is conservative: an
+// operand field is a read and a destination field a definition whenever
+// it names a vreg, whether or not the operation uses it.
+func singleUse(p *ir.Program) []bool {
+	defs := make([]int, p.NumVReg)
+	reads := make([]int, p.NumVReg)
+	add := func(n []int, r int32, k int) {
+		if r >= 0 && int(r) < len(n) {
+			n[r] += k
+		}
+	}
+	count := func(in *ir.Inst) {
+		add(defs, in.D, 1)
+		add(reads, in.A, 1)
+		add(reads, in.B, 1)
+		for _, a := range in.Args {
+			add(reads, a, 1)
+		}
+	}
+	named := func(s ir.Src) {
+		if s.Kind == ir.SrcVReg || s.Kind == ir.SrcPh {
+			add(reads, s.VReg, 2)
+		}
+	}
+	for v := range p.Params {
+		add(reads, int32(v), 2)
+	}
+	for _, blk := range p.Blocks {
+		for i := range blk.Insts {
+			count(&blk.Insts[i])
+		}
+		count(&blk.Term)
+		for i := range blk.Dyn {
+			di := &blk.Dyn[i]
+			named(di.A)
+			named(di.B)
+			for _, a := range di.Args {
+				named(a)
+			}
+		}
+		named(blk.TermSrc)
+		if blk.DynTerm == ir.DTPin {
+			add(reads, blk.PinDst, 2)
+		}
+	}
+	once := make([]bool, p.NumVReg)
+	for v := range once {
+		once[v] = defs[v] == 1 && reads[v] == 1
+	}
+	return once
+}
+
+// immOperand reports whether the run-time static constant c can become the
+// immediate of next, the instruction after it: next is a static Bin with a
+// code of its own or a static QGet whose field index fits a record's b,
+// and its second operand is c's single-use result.
+func immOperand(c, next *ir.Inst, once []bool) bool {
+	if c.Op != ir.Const || c.BT != ir.BTStatic || !isOnce(once, c.D) || next.B != c.D ||
+		(next.BT != ir.BTStatic && next.BT != ir.BTStaticWT) {
+		return false
+	}
+	switch next.Op {
+	case ir.Bin:
+		_, ok := binCodes[token.Kind(next.Sub)]
+		return ok
+	case ir.QOp:
+		return next.Sub == ir.QGet && c.Imm == int64(int32(c.Imm))
+	}
+	return false
+}
+
+func isOnce(once []bool, r int32) bool { return r >= 0 && int(r) < len(once) && once[r] }
+
+// withImm turns op, a Bin or QGet record, into its form whose second
+// operand is the constant k.
+func withImm(op slowOp, k int64) slowOp {
+	switch op.code {
+	case sQGet:
+		op.code, op.b = sQGetI, int32(k)
+		return op
+	case sShl, sShr:
+		k &= 63
+	}
+	op.code, op.b, op.imm = op.code-sAdd+sAddI, 0, k
+	return op
+}
+
+// fusesBranch reports whether the run-time static compare in, the last
+// instruction of a static block, can fuse with the block's branch term:
+// the branch is static and its condition is in's single-use result.
+func fusesBranch(in, term *ir.Inst, once []bool) bool {
+	if term.Op != ir.Br || term.BT == ir.BTDynamic || in.Op != ir.Bin || in.BT != ir.BTStatic ||
+		!isOnce(once, in.D) || term.A != in.D {
+		return false
+	}
+	c := binCodes[token.Kind(in.Sub)]
+	return c >= sEq && c <= sGe
+}
+
+// threadEmpty follows block b past empty static blocks: no instructions,
+// no dynamic segment, a jump out. On a cycle of them it stops at a block
+// of the cycle.
+func threadEmpty(p *ir.Program, b int) int {
+	for hops := 0; hops < len(p.Blocks); hops++ {
+		blk := p.Blocks[b]
+		if len(blk.Insts) > 0 || blk.HasDyn || blk.Term.Op != ir.Jmp {
+			break
+		}
+		b = blk.Succ[0]
+	}
+	return b
+}
+
+// retarget maps the record-index targets of the terminator record op
+// through f.
+func retarget(op *slowOp, f func(int32) int32) {
+	switch {
+	case op.code == sJmp:
+		op.imm = int64(f(int32(op.imm)))
+	case op.code == sBr || op.code == sBrDyn || op.code >= sBrEqI:
+		op.d, op.b = f(op.d), f(op.b)
+	case op.code >= sBrEq:
+		op.d, op.imm = f(op.d), int64(f(int32(op.imm)))
+	}
 }
 
 // decodeSegments appends every block's replay segment. The window is as
@@ -392,6 +609,9 @@ func (m *Machine) runStepSlow(sink *recorder, cur *rcursor) error {
 	for pc := m.slow.entry; ; {
 		op := &ops[pc]
 		pc++
+		if CountRecords {
+			m.records++
+		}
 		switch op.code {
 		case sBlock:
 			if sink != nil && op.b != 0 && (cur == nil || cur.live) {
@@ -588,6 +808,112 @@ func (m *Machine) runStepSlow(sink *recorder, cur *rcursor) error {
 				pc = int(op.d)
 			} else {
 				pc = int(op.b)
+			}
+		case sAddI:
+			vr[op.d] = vr[op.a] + op.imm
+		case sSubI:
+			vr[op.d] = vr[op.a] - op.imm
+		case sMulI:
+			vr[op.d] = vr[op.a] * op.imm
+		case sDivI:
+			if op.imm != 0 {
+				vr[op.d] = vr[op.a] / op.imm
+			} else {
+				vr[op.d] = 0
+			}
+		case sRemI:
+			if op.imm != 0 {
+				vr[op.d] = vr[op.a] % op.imm
+			} else {
+				vr[op.d] = 0
+			}
+		case sAndI:
+			vr[op.d] = vr[op.a] & op.imm
+		case sOrI:
+			vr[op.d] = vr[op.a] | op.imm
+		case sXorI:
+			vr[op.d] = vr[op.a] ^ op.imm
+		case sShlI:
+			vr[op.d] = vr[op.a] << uint64(op.imm)
+		case sShrI:
+			vr[op.d] = vr[op.a] >> uint64(op.imm)
+		case sEqI:
+			vr[op.d] = bit(vr[op.a] == op.imm)
+		case sNeI:
+			vr[op.d] = bit(vr[op.a] != op.imm)
+		case sLtI:
+			vr[op.d] = bit(vr[op.a] < op.imm)
+		case sLeI:
+			vr[op.d] = bit(vr[op.a] <= op.imm)
+		case sGtI:
+			vr[op.d] = bit(vr[op.a] > op.imm)
+		case sGeI:
+			vr[op.d] = bit(vr[op.a] >= op.imm)
+		case sLAndI:
+			vr[op.d] = bit(vr[op.a] != 0 && op.imm != 0)
+		case sLOrI:
+			vr[op.d] = bit(vr[op.a] != 0 || op.imm != 0)
+		case sQGetI:
+			vr[op.d] = m.queue(int32(op.imm)).Get(vr[op.a], int64(op.b))
+		case sBrEq:
+			pc = int(op.imm)
+			if vr[op.a] == vr[op.b] {
+				pc = int(op.d)
+			}
+		case sBrNe:
+			pc = int(op.imm)
+			if vr[op.a] != vr[op.b] {
+				pc = int(op.d)
+			}
+		case sBrLt:
+			pc = int(op.imm)
+			if vr[op.a] < vr[op.b] {
+				pc = int(op.d)
+			}
+		case sBrLe:
+			pc = int(op.imm)
+			if vr[op.a] <= vr[op.b] {
+				pc = int(op.d)
+			}
+		case sBrGt:
+			pc = int(op.imm)
+			if vr[op.a] > vr[op.b] {
+				pc = int(op.d)
+			}
+		case sBrGe:
+			pc = int(op.imm)
+			if vr[op.a] >= vr[op.b] {
+				pc = int(op.d)
+			}
+		case sBrEqI:
+			pc = int(op.b)
+			if vr[op.a] == op.imm {
+				pc = int(op.d)
+			}
+		case sBrNeI:
+			pc = int(op.b)
+			if vr[op.a] != op.imm {
+				pc = int(op.d)
+			}
+		case sBrLtI:
+			pc = int(op.b)
+			if vr[op.a] < op.imm {
+				pc = int(op.d)
+			}
+		case sBrLeI:
+			pc = int(op.b)
+			if vr[op.a] <= op.imm {
+				pc = int(op.d)
+			}
+		case sBrGtI:
+			pc = int(op.b)
+			if vr[op.a] > op.imm {
+				pc = int(op.d)
+			}
+		case sBrGeI:
+			pc = int(op.b)
+			if vr[op.a] >= op.imm {
+				pc = int(op.d)
 			}
 		case sRet:
 			if cur != nil && !cur.live && !cur.rekey {

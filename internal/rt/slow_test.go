@@ -2,6 +2,7 @@ package rt
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"facile/internal/lang/ir"
@@ -139,6 +140,118 @@ func TestDecodedOpsMatchReference(t *testing.T) {
 			}
 		}
 	}
+	checkPeepholeForms(t, bins, operands)
+}
+
+// checkPeepholeForms runs the codes only the slow loop has, the peephole
+// pass's forms, on the boundary operands and on shift counts of 64 and
+// more and negative ones: for each constant k, a static block computes
+// x <op> k for every Bin operator from single-use constants, and field k
+// of a queue entry, and then static blocks branch on x <cmp> k and on
+// x <cmp> y for every compare, each compare fused with its branch. Every
+// Bin result must equal types.EvalBinary's, every branch must go where
+// sBr would on that value, every new code must occur, and every fused
+// branch must take both ways.
+func checkPeepholeForms(t *testing.T, bins []token.Kind, operands []int64) {
+	t.Helper()
+	cmps := []token.Kind{token.EQ, token.NE, token.LT, token.LE, token.GT, token.GE}
+	konst := func(d int32, k int64) ir.Inst { return ir.Inst{Op: ir.Const, D: d, Imm: k, A: -1, B: -1} }
+	// main(x, y): block 0 holds the Bins and the QGet; block 1+3i branches
+	// on compare i and blocks 2+3i and 3+3i store 1 or 2 to global i and
+	// go on; the last block returns.
+	build := func(k int64) *ir.Program {
+		nv := int32(2)
+		vreg := func() int32 { nv++; return nv - 1 }
+		var b0 []ir.Inst
+		for _, op := range bins {
+			c, d := vreg(), vreg()
+			b0 = append(b0, konst(c, k), ir.Inst{Op: ir.Bin, Sub: uint8(op), D: d, A: 0, B: c})
+		}
+		c := vreg()
+		b0 = append(b0, konst(c, k), ir.Inst{Op: ir.QOp, Sub: ir.QGet, D: vreg(), A: 0, B: c})
+		blocks := []*ir.Block{{Insts: b0, Term: ir.Inst{Op: ir.Jmp, D: -1, A: -1, B: -1}, Succ: [2]int{1}}}
+		for i, op := range append(cmps, cmps...) {
+			var insts []ir.Inst
+			y := int32(1) // the second half compares x with y
+			if i < len(cmps) {
+				y = vreg()
+				insts = append(insts, konst(y, k))
+			}
+			r := vreg()
+			insts = append(insts, ir.Inst{Op: ir.Bin, Sub: uint8(op), D: r, A: 0, B: y})
+			next := len(blocks) + 3
+			blocks = append(blocks, &ir.Block{Insts: insts, Term: ir.Inst{Op: ir.Br, D: -1, A: r, B: -1},
+				Succ: [2]int{len(blocks) + 1, len(blocks) + 2}})
+			for _, v := range []int64{1, 2} {
+				w := vreg()
+				blocks = append(blocks, &ir.Block{
+					Insts: []ir.Inst{konst(w, v), {Op: ir.StoreG, Imm: int64(i), D: -1, A: w, B: -1}},
+					Term:  ir.Inst{Op: ir.Jmp, D: -1, A: -1, B: -1}, Succ: [2]int{next}})
+			}
+		}
+		blocks = append(blocks, &ir.Block{Term: ir.Inst{Op: ir.Ret, D: -1, A: -1, B: -1}})
+		p := &ir.Program{
+			Blocks:  blocks,
+			NumVReg: int(nv),
+			Params:  []ir.ParamDecl{{Name: "x"}, {Name: "y"}},
+			QueuesG: []ir.QueueDecl{{Name: "q0", Cap: 4, Width: 3}},
+		}
+		for range 2 * len(cmps) {
+			p.Globals = append(p.Globals, ir.GlobalDecl{Name: "g"})
+		}
+		return p
+	}
+	consts := append(slices.Clone(operands), 100, 127, 128, 1<<32, -65, -100, -128, -(1 << 32))
+	seen := map[slowCode]bool{}
+	ways := map[slowCode][2]bool{}
+	queue := []int64{10, 11, 12, 13, 14, 15, 16, 17, 18}
+	for _, k := range consts {
+		p := build(k)
+		m := New(p, nil, Options{})
+		for pc := int32(0); pc < m.slow.dyn[0]; pc++ {
+			seen[m.slow.ops[pc].code] = true
+		}
+		for _, x := range operands {
+			m.queuesG[0].data = append(m.queuesG[0].data[:0], queue...)
+			copy(m.argI, []int64{x, k})
+			if err := m.runStepSlow(nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			for i, op := range bins {
+				if got, want := m.vregs[3+2*i], types.EvalBinary(op, x, k); got != want {
+					t.Errorf("bin %s on (%d, %d): decoded %d, EvalBinary %d", op, x, k, got, want)
+				}
+			}
+			if got, want := m.vregs[3+2*len(bins)], m.queuesG[0].Get(x, k); got != want {
+				t.Errorf("queue get (%d, %d): decoded %d, Get %d", x, k, got, want)
+			}
+			for i, op := range append(cmps, cmps...) {
+				taken := types.EvalBinary(op, x, k) != 0 // sBr's test
+				want := int64(2)
+				if taken {
+					want = 1
+				}
+				if got := m.globals[i]; got != want {
+					t.Errorf("branch on %d %s %d (form %d): stored %d, want %d", x, op, k, i/len(cmps), got, want)
+				}
+				code := sBrEq + binCodes[op] - sEq
+				if i < len(cmps) {
+					code = sBrEqI + binCodes[op] - sEq
+				}
+				w := ways[code]
+				w[bit(taken)] = true
+				ways[code] = w
+			}
+		}
+	}
+	for c := sAddI; c <= sBrGeI; c++ {
+		if !seen[c] {
+			t.Errorf("no case decodes to code %d", c)
+		}
+		if c >= sBrEq && ways[c] != [2]bool{true, true} {
+			t.Errorf("fused branch code %d went only one way: %v", c, ways[c])
+		}
+	}
 }
 
 // TestPlainRunBuildsNoKeys: without memoization the machine never keeps a
@@ -214,5 +327,46 @@ func TestPlaceholdersNumberedInAppendOrder(t *testing.T) {
 	}
 	if q := m.queuesG[0].data; q[0] != 7 || q[1] != 114 {
 		t.Errorf("queue = %v, want [7 114]", q)
+	}
+}
+
+// TestPeepholeKeepsObservedValues: the peephole pass folds only what no one
+// else reads. A constant that a dynamic instruction takes as a placeholder
+// and a constant written to one of main's parameters keep their records;
+// a compare in a dynamic block stays apart from its branch, though its
+// constant operand folds.
+func TestPeepholeKeepsObservedValues(t *testing.T) {
+	k := func(d int32, v int64) ir.Inst { return ir.Inst{Op: ir.Const, D: d, Imm: v, A: -1, B: -1} }
+	add := func(d, a, b int32) ir.Inst { return ir.Inst{Op: ir.Bin, Sub: uint8(token.PLUS), D: d, A: a, B: b} }
+	p := &ir.Program{
+		NumVReg: 9,
+		Params:  []ir.ParamDecl{{Name: "x"}, {Name: "y"}},
+		Globals: []ir.GlobalDecl{{Name: "g0"}},
+		Blocks: []*ir.Block{
+			{Insts: []ir.Inst{
+				k(2, 7), add(3, 1, 2), // vreg 2 is block 1's placeholder
+				k(0, 9), add(4, 1, 0), // vreg 0 is x
+			}, Term: ir.Inst{Op: ir.Jmp, D: -1, A: -1, B: -1}, Succ: [2]int{1}},
+			{HasDyn: true, NPh: 1, Insts: []ir.Inst{
+				{Op: ir.StoreG, Imm: 0, D: -1, A: 2, B: -1, BT: ir.BTDynamic},
+				k(7, 1),
+				{Op: ir.Bin, Sub: uint8(token.LT), D: 8, A: 3, B: 7},
+			}, Dyn: []ir.DynInst{{Op: ir.StoreG, Imm: 0, D: -1, A: ir.Src{Kind: ir.SrcPh, VReg: 2}}},
+				Term: ir.Inst{Op: ir.Br, D: -1, A: 8, B: -1}, Succ: [2]int{2, 2}},
+			{Term: ir.Inst{Op: ir.Ret, D: -1, A: -1, B: -1}},
+		},
+	}
+	sp := decodeProgram(p)
+	var got []slowCode
+	for _, op := range sp.ops[:sp.dyn[0]] {
+		got = append(got, op.code)
+	}
+	want := []slowCode{
+		sBlock, sConst, sAdd, sConst, sAdd, sJmp,
+		sBlock, sDyn, sStoreG, sLtI, sBr,
+		sBlock, sRet,
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("decoded codes %v, want %v", got, want)
 	}
 }
