@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"facile/internal/arch/fastsim"
-	"facile/internal/bench"
 	"facile/internal/cli"
 	"facile/internal/facsim"
 	"facile/internal/isa/asm"
@@ -115,7 +114,7 @@ func main() {
 		if *benchName == "" {
 			die(fmt.Errorf("-validate requires -bench"))
 		}
-		if err := bench.ValidateBenchmark(*benchName, *scale); err != nil {
+		if err := runcfg.ValidateBenchmark(*benchName, *scale); err != nil {
 			die(err)
 		}
 		fmt.Printf("%s @ scale %d: all simulators agree (outputs, exits, memoized cycle counts)\n",

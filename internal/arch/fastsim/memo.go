@@ -152,6 +152,7 @@ type Sim struct {
 	ringNPC  []uint64
 	ringMask uint32
 	base     uint32
+	inflight uint32 // fetched, not yet committed: the window's length
 
 	// step-start snapshot for miss recovery
 	startBase  uint32
@@ -251,6 +252,7 @@ func (s *Sim) setSlot(slot int, addr, npc uint64) {
 	s.ringAddr[i] = addr
 	s.ringNPC[i] = npc
 	s.lastNPC = npc
+	s.inflight = uint32(slot) + 1 // fetch fills the window's next slot
 }
 
 func (s *Sim) slotAddrAt(slot int) uint64 {
@@ -319,6 +321,7 @@ func needNextPCTest(in isa.Inst, cls isa.Class) bool {
 
 func (s *Sim) shiftSlots(k int) {
 	s.base = (s.base + uint32(k)) & s.ringMask
+	s.inflight -= uint32(k)
 }
 
 // Run simulates until the program halts or maxInsts commit.
@@ -404,6 +407,7 @@ func (s *Sim) restoreEngine() bool {
 		return false
 	}
 	s.base = s.startBase
+	s.inflight = uint32(len(s.eng.win))
 	s.cycle = s.startCycle
 	s.engineLive = true
 	return true
@@ -414,7 +418,10 @@ func (s *Sim) restoreEngine() bool {
 // functional effects in program order), so an empty window refetching from
 // the last resolved next PC preserves the architectural stream exactly —
 // only the timing of the instructions that were in flight is approximated.
+// Those instructions commit here, on the slow path's count.
 func (s *Sim) drainReset() {
+	s.slowInsts += uint64(s.inflight)
+	s.inflight = 0
 	e := s.eng
 	e.win = e.win[:0]
 	e.fetchPC = s.lastNPC

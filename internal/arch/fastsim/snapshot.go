@@ -129,7 +129,7 @@ func (s *Sim) LoadState(r *snapshot.Reader) error {
 		return fmt.Errorf("fastsim: snapshot window %d exceeds configured %d", n, e.cfg.Window)
 	}
 	e.win = e.win[:0]
-	s.base = 0
+	s.base, s.inflight = 0, 0
 	for i := uint64(0); i < n; i++ {
 		var ent entry
 		ent.pc = r.U64()

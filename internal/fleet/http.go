@@ -1,8 +1,8 @@
 package fleet
 
 // The fleet front-end speaks the same HTTP/JSON surface as a single
-// fsimd (clients point fbench/fsweep at the router unchanged), plus the
-// fleet-only endpoints: worker registration, topology, and merged
+// fsimd (fsweep -server and curl point at the router unchanged), plus
+// the fleet-only endpoints: worker registration, topology, and merged
 // metrics.
 //
 //	POST   /v1/workers          worker self-registration (RegisterRequest)

@@ -1,8 +1,8 @@
 // Package parsim runs simulations in parallel without giving up
 // determinism. It provides two building blocks:
 //
-//   - ForEach, a deterministic worker pool that shards independent work
-//     items (e.g. the benchmarks of an fbench experiment) across
+//   - ForEachCtx, a deterministic worker pool that shards independent work
+//     items (the interval runs below, the points of a sweep) across
 //     goroutines while keeping results in item order, and
 //
 //   - interval simulation (interval.go), which splits one workload into
@@ -17,7 +17,7 @@ import (
 	"sync"
 )
 
-// ForEach invokes fn(i) for every i in [0, n), using up to `workers`
+// ForEachCtx invokes fn(i) for every i in [0, n), using up to `workers`
 // goroutines. Each item's results must be written only to slots owned by
 // that item (typically results[i]), which makes the output independent of
 // scheduling. With workers <= 1 the calls run sequentially on the calling
@@ -26,15 +26,12 @@ import (
 //
 // All items run even when some fail; the returned error is the one from
 // the lowest-numbered failing item, again independent of scheduling.
-func ForEach(n, workers int, fn func(i int) error) error {
-	return ForEachCtx(context.Background(), n, workers, fn)
-}
-
-// ForEachCtx is ForEach with cooperative cancellation: once ctx is done no
-// further items start (items already running finish normally — fn is never
-// interrupted mid-item). A canceled run returns ctx's error, which takes
-// precedence over item errors since the item set that ran is scheduling-
-// dependent once cancellation cuts it short.
+//
+// Cancellation is cooperative: once ctx is done no further items start
+// (items already running finish normally — fn is never interrupted
+// mid-item). A canceled run returns ctx's error, which takes precedence
+// over item errors since the item set that ran is scheduling-dependent
+// once cancellation cuts it short.
 func ForEachCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil

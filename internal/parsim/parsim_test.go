@@ -17,7 +17,7 @@ import (
 func TestForEachCoversAllItems(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 8, 100} {
 		var ran [57]int32
-		err := ForEach(len(ran), workers, func(i int) error {
+		err := ForEachCtx(context.Background(), len(ran), workers, func(i int) error {
 			atomic.AddInt32(&ran[i], 1)
 			return nil
 		})
@@ -34,7 +34,7 @@ func TestForEachCoversAllItems(t *testing.T) {
 
 func TestForEachLowestError(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		err := ForEach(10, workers, func(i int) error {
+		err := ForEachCtx(context.Background(), 10, workers, func(i int) error {
 			if i == 3 || i == 7 {
 				return fmt.Errorf("item %d", i)
 			}
@@ -44,8 +44,8 @@ func TestForEachLowestError(t *testing.T) {
 			t.Fatalf("workers=%d: err = %v, want item 3", workers, err)
 		}
 	}
-	if err := ForEach(0, 4, func(int) error { return errors.New("no") }); err != nil {
-		t.Fatalf("empty ForEach: %v", err)
+	if err := ForEachCtx(context.Background(), 0, 4, func(int) error { return errors.New("no") }); err != nil {
+		t.Fatalf("empty ForEachCtx: %v", err)
 	}
 }
 
@@ -170,7 +170,7 @@ func TestForEachCtxCancellation(t *testing.T) {
 		}
 	}
 
-	// An uncanceled ForEachCtx behaves exactly like ForEach.
+	// An uncanceled ForEachCtx runs every item.
 	var n atomic.Int32
 	if err := ForEachCtx(context.Background(), 10, 4, func(int) error {
 		n.Add(1)

@@ -477,7 +477,11 @@ func (m *Machine) isolateBlocks() []int32 {
 	block := map[int32]int32{}
 	for pc := 0; pc < end; pc++ {
 		if ops[pc].code == sBlock {
-			starts[ops[pc].a] = int32(pc)
+			// The watchdog's trap (imm < 0) stands for a cycle of empty
+			// blocks as a successor; it starts none of them.
+			if ops[pc].imm >= 0 {
+				starts[ops[pc].a] = int32(pc)
+			}
 			block[int32(pc)] = ops[pc].a
 		}
 	}

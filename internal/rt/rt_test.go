@@ -3,8 +3,10 @@ package rt_test
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"facile/internal/core"
+	"facile/internal/faults"
 	"facile/internal/rt"
 )
 
@@ -349,6 +351,35 @@ fun main(x) {
 	}
 	if !m.Done() {
 		t.Fatal("machine not done")
+	}
+}
+
+// TestEmptyLoopTripsStepBudget: a loop whose test and body do no work
+// compiles to a cycle of empty static blocks, which charge no budget and
+// cannot exit. The step must still end, with the step-budget watchdog.
+func TestEmptyLoopTripsStepBudget(t *testing.T) {
+	sim, err := core.CompileSource(`fun main(x) { while (1) { } set_args(x); }`, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, memoize := range []bool{false, true} {
+		m := sim.NewMachine(core.NullText(), rt.Options{Memoize: memoize, StepInstBudget: 1000})
+		if err := m.SetIntArgs(0); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- m.Run(1) }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatalf("memo=%v: Run(1) returned no error", memoize)
+			}
+			if f := m.LastFault(); f == nil || f.Kind != faults.WatchdogStep {
+				t.Fatalf("memo=%v: Run(1) = %v, last fault %v; want the step watchdog", memoize, err, f)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("memo=%v: Run(1) still spinning after 10 s", memoize)
+		}
 	}
 }
 

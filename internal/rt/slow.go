@@ -208,7 +208,8 @@ type slowProgram struct {
 //     compare's constant second operand (fusesBranch);
 //   - an edge to an empty static block, one that charges no instructions,
 //     announces nothing and only jumps on, goes straight to where that
-//     jump leads (threadEmpty).
+//     jump leads (threadEmpty), or to the watchdog's trap if the jumps
+//     only lead round a cycle of such blocks.
 //
 // Each is exact: the vreg whose definition goes away is read by nobody else
 // (singleUse), a static block has no recovery cursor to advance, and a
@@ -287,10 +288,26 @@ func decodeProgram(p *ir.Program) slowProgram {
 		terms = append(terms, len(sp.ops))
 		sp.ops = append(sp.ops, term)
 	}
-	// Edges skip empty blocks.
-	target := func(b int32) int32 { return start[threadEmpty(p, int(b))] }
+	// Edges skip empty blocks. A cycle of them charges nothing and can
+	// never exit, so an edge into one leads instead to a trap: an sBlock
+	// that charges more than any budget holds, which returns the step
+	// watchdog's error, and a jump back to it.
+	trap := int32(-1)
+	target := func(b int32) int32 {
+		to, ok := threadEmpty(p, int(b))
+		if ok {
+			return start[to]
+		}
+		if trap < 0 {
+			trap = int32(len(sp.ops))
+			sp.ops = append(sp.ops, slowOp{code: sBlock, a: int32(to), imm: -1}, slowOp{code: sJmp, imm: int64(trap)})
+		}
+		return trap
+	}
 	for _, t := range terms {
-		retarget(&sp.ops[t], target)
+		op := sp.ops[t] // target may grow sp.ops
+		retarget(&op, target)
+		sp.ops[t] = op
 	}
 	sp.entry = int(target(int32(p.Entry)))
 	sp.decodeSegments(p, junk)
@@ -402,17 +419,17 @@ func fusesBranch(in, term *ir.Inst, once []bool) bool {
 }
 
 // threadEmpty follows block b past empty static blocks: no instructions,
-// no dynamic segment, a jump out. On a cycle of them it stops at a block
-// of the cycle.
-func threadEmpty(p *ir.Program, b int) int {
-	for hops := 0; hops < len(p.Blocks); hops++ {
+// no dynamic segment, a jump out. It reports false if they form a cycle,
+// with b a block of the cycle.
+func threadEmpty(p *ir.Program, b int) (int, bool) {
+	for hops := 0; hops <= len(p.Blocks); hops++ {
 		blk := p.Blocks[b]
 		if len(blk.Insts) > 0 || blk.HasDyn || blk.Term.Op != ir.Jmp {
-			break
+			return b, true
 		}
 		b = blk.Succ[0]
 	}
-	return b
+	return b, false
 }
 
 // retarget maps the record-index targets of the terminator record op

@@ -1,9 +1,12 @@
 // Package runcfg is the shared engine-selection and run-setup layer: it
 // maps an engine name plus a common option set onto any of the simulators
 // in this repository and drives them through one Runner interface. The
-// fsim command, the evaluation harness (internal/bench), and the job
-// server (internal/serve) all construct engines through this package
-// instead of re-implementing the per-engine switch.
+// fsim command, the paper-table printer (cmd/fbench), the job server
+// (internal/serve) and the benchmark all construct engines through this
+// package instead of re-implementing the per-engine switch. Because it
+// already imports every engine, it is also where the cross-simulator
+// checks live: ValidateBenchmark (fsim -validate, TestSuiteCrossValidation)
+// and the differential fuzz target FuzzEngines.
 //
 // A Runner exposes cumulative budgets (Run(target) advances until overall
 // progress reaches target, not for target more units), so callers can

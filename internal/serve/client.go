@@ -14,8 +14,8 @@ import (
 	"facile/internal/cachestore"
 )
 
-// Client is a minimal JSON client for the job API, used by the fbench
-// client mode and the end-to-end tests.
+// Client is a minimal JSON client for the job API, used by fsweep -server
+// and the end-to-end tests.
 type Client struct {
 	Base string // server base URL, e.g. "http://127.0.0.1:8764"
 	HC   *http.Client
